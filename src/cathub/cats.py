@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .fock import FockVector, genfunc_derivative, inner_product, photon_offset
 from .hub import heralded_amps
+from .logreal import log_factorials
 
 __all__ = ["OptResult", "cat_state", "fidelity", "mean_photon", "optimal_y"]
 
@@ -52,9 +52,8 @@ def cat_state(beta: float, parity: str, cutoff: int | None = None) -> FockVector
     b2 = beta * beta
     sign = 1.0 if parity == "even" else -1.0
     log_norm = 0.5 * math.log(2.0 / (1.0 + sign * math.exp(-2.0 * b2)))
-    n = np.arange(cutoff + 1, dtype=np.float64)
-    photons = 2.0 * n + off
-    logs = photons * math.log(beta) - 0.5 * gammaln(photons + 1.0) - 0.5 * b2 + log_norm
+    photons = 2 * np.arange(cutoff + 1) + off
+    logs = photons * math.log(beta) - 0.5 * log_factorials(photons) - 0.5 * b2 + log_norm
     vec = FockVector(parity, np.exp(logs))
     vec.check_tail()
     return vec
@@ -96,11 +95,13 @@ class OptResult:
 def optimal_y(parity: str, n_subtracted: int, beta: float) -> OptResult:
     """Herald parameter maximising overlap with the cat state of amplitude beta.
 
-    A 256-point scan over the full admissible interval locates the global
-    peak (ties resolved towards smaller y), then a golden-section refinement
+    A 256-point scan over the full admissible interval, evaluated as one
+    matrix of heralded amplitudes against the cat state, locates the global
+    peak (ties resolved towards smaller y); then a golden-section refinement
     narrows the bracket to 1e-10.  The objective evaluates the heralded
     amplitudes only on the cat state's support; the analytic normalisation
-    keeps that exact.
+    keeps that exact.  evaluations counts the scan points plus the scalar
+    refinement calls.
     """
     off = photon_offset(parity)
     if n_subtracted < 0 or n_subtracted % 2 != off:
@@ -112,7 +113,6 @@ def optimal_y(parity: str, n_subtracted: int, beta: float) -> OptResult:
     target = cat_state(beta, parity)
     m = n_subtracted // 2
     n_win = target.cutoff
-    evals = 0
 
     def objective(y: float) -> float:
         nonlocal evals
@@ -122,7 +122,8 @@ def optimal_y(parity: str, n_subtracted: int, beta: float) -> OptResult:
         return ov * ov
 
     ys = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
-    vals = np.array([objective(y) for y in ys])
+    vals = (heralded_amps(parity, m, ys, n_win) @ target.amps) ** 2
+    evals = _SCAN_POINTS
     best = int(np.argmax(vals))  # first occurrence wins ties -> smaller y
 
     peaks = [

@@ -232,7 +232,7 @@ def cmd_detector_report(args) -> int:
             summary.append(
                 f"k={k} t={t:g}: reduction factor {rf:.4g}, "
                 f"first-order multiplier {mult_first:.4g}"
-                + (f", exact multiplier {mult_exact:.4g}" if mult_exact else "")
+                + (f", exact multiplier {mult_exact:.4g}" if mult_exact is not None else "")
             )
     header = (
         "k",

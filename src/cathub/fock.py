@@ -1,4 +1,4 @@
-"""Parity-tagged truncated Fock vectors and the normalising series.
+"""Parity-tagged truncated Fock vectors and the normalising generating function.
 
 States that appear in this package occupy either the even or the odd photon
 number sector, so a state is stored as a parity tag plus a dense array of
@@ -9,38 +9,30 @@ of the central-binomial generating function
 
     g(y) = sum_k C(2k, k) y^(2k) = 1 / sqrt(1 - 4 y^2),   0 <= y < 1/2.
 
-genfunc_derivative evaluates d^m g / dy^m in the log domain.  Every
-coefficient of the series is positive, so no cancellation can occur there;
-close to the y = 1/2 singularity the series is slow and a product-rule
-expansion around the two branch points is used instead.
+log_genfunc_derivative evaluates ln d^m g / dy^m over a scalar or an array
+of y as one finite sum of m//2 + 1 positive terms, the Legendre P_m
+coefficients in magnitude; genfunc_derivative wraps it as a LogReal.  The
+same sum holds on the whole interval, so there is no series truncation and
+no switch of method near the y = 1/2 singularity.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
-from .logreal import LogReal, logreal_sum
+from .logreal import LogReal, log_factorials
 
 __all__ = [
     "FockVector",
     "inner_product",
     "genfunc_derivative",
+    "log_genfunc_derivative",
     "parity_of",
     "photon_offset",
 ]
-
-# Series truncation: stop once this many consecutive terms fall below
-# _TERM_EPS times the running maximum term.
-_TERM_EPS = 1e-18
-_TERM_RUN = 50
-_BLOCK = 256
-
-# Above this y the direct series is slow and the branch-point expansion of
-# g(y) = (1-2y)^(-1/2) (1+2y)^(-1/2) is both fast and cancellation-safe.
-_LEIBNIZ_SWITCH = 0.3
 
 _TAIL_RATIO = 1e-14
 
@@ -117,91 +109,70 @@ def inner_product(a: FockVector, b: FockVector) -> float:
     return float(np.dot(a.amps[:n], b.amps[:n]))
 
 
-def _check_y(y: float) -> None:
-    if not (0.0 <= y < 0.5):
+def _check_y(y: np.ndarray) -> None:
+    if not ((0.0 <= y) & (y < 0.5)).all():
         raise DomainError(f"y must lie in [0, 0.5), got {y}")
 
 
-def _series_log_terms(order: int, y: float):
-    """Log of the positive series terms of d^order g / dy^order.
+@functools.lru_cache(maxsize=1024)
+def _legendre_terms(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order constants (logs, powers) of the Legendre sum, k = 0..order//2.
 
-    Term k (k >= ceil(order/2)):
-        C(2k, k) * (2k)! / (2k - order)! * y^(2k - order)
+    logs[k] = ln(order! C(order, k) C(2 order - 2k, order)), which is
+    order! 2^order times the magnitude of a Legendre P_order coefficient;
+    powers[k] = 2 (order//2 - k), the power of w beyond the order % 2 one.
+    Both arrays are shared and read-only.
     """
-    log_y = math.log(y)
-    logs: list[np.ndarray] = []
-    k0 = (order + 1) // 2
-    running_max = -math.inf
-    below = 0
-    k_lo = k0
-    while True:
-        k = np.arange(k_lo, k_lo + _BLOCK, dtype=np.float64)
-        p = 2.0 * k - order
-        block = 2.0 * gammaln(2.0 * k + 1.0) - 2.0 * gammaln(k + 1.0) - gammaln(p + 1.0) + p * log_y
-        stop_at = None
-        for i, v in enumerate(block):
-            if v > running_max:
-                running_max = v
-                below = 0
-            elif v < running_max + math.log(_TERM_EPS):
-                below += 1
-                if below >= _TERM_RUN:
-                    stop_at = i + 1
-                    break
-            else:
-                below = 0
-        if stop_at is not None:
-            logs.append(block[:stop_at])
-            break
-        logs.append(block)
-        k_lo += _BLOCK
-    return np.concatenate(logs)
+    k = np.arange(order // 2 + 1)
+    logs = (
+        log_factorials(order)
+        + log_factorials(2 * order - 2 * k)
+        - log_factorials(k)
+        - log_factorials(order - k)
+        - log_factorials(order - 2 * k)
+    )
+    powers = 2.0 * (order // 2 - k)
+    logs.flags.writeable = False
+    powers.flags.writeable = False
+    return logs, powers
 
 
-def _genfunc_series(order: int, y: float) -> LogReal:
-    if y == 0.0:
-        if order % 2 == 1:
-            return LogReal.zero()
-        half = order // 2
-        # single surviving term: C(order, order/2) * order!
-        log_mag = 2.0 * math.lgamma(order + 1) - 2.0 * math.lgamma(half + 1)
-        return LogReal(1, log_mag)
-    logs = _series_log_terms(order, y)
-    top = float(np.max(logs))
-    total = float(np.sum(np.exp(logs - top)))
-    return LogReal(1, top + math.log(total))
+def log_genfunc_derivative(order: int, y):
+    """ln of the order-th derivative of g(y) = 1/sqrt(1 - 4 y^2).
 
+    y is a scalar (a float is returned) or an array (an array of the same
+    shape is returned).  With s = 1 - 4y^2 and w = 2y / sqrt(s),
 
-def _genfunc_branch_points(order: int, y: float) -> LogReal:
-    """Product-rule expansion of d^order/dy^order of (1-2y)^(-1/2)(1+2y)^(-1/2).
+        g^(m)(y) = m! s^(-(m+1)/2) sum_k C(m, k) C(2m - 2k, m) w^(m - 2k),
 
-    The j-th term carries sign (-1)^(order-j); for y above the switch point
-    the magnitudes ascend monotonically towards j = order, so the signed sum
-    involves no catastrophic cancellation.
+    k = 0..m//2, which is 2^m m! s^(-(m+1)/2) times P_m evaluated at the
+    imaginary point i w with every sign made positive.  The sum is finite
+    and all its terms are positive, so a max-shifted log-sum-exp carries it
+    without cancellation or truncation.  Odd orders vanish at y = 0, where
+    -inf is returned.  Raises DomainError outside 0 <= y < 0.5.
     """
-    u = 1.0 - 2.0 * y
-    v = 1.0 + 2.0 * y
-    log_u, log_v = math.log(u), math.log(v)
-    j = np.arange(order + 1, dtype=np.float64)
-    # ln C(order, j) + ln (2j-1)!! + ln (2(order-j)-1)!!
-    log_choose = gammaln(order + 1.0) - gammaln(j + 1.0) - gammaln(order - j + 1.0)
-    log_dfact_j = gammaln(2.0 * j + 1.0) - j * math.log(2.0) - gammaln(j + 1.0)
-    jc = order - j
-    log_dfact_jc = gammaln(2.0 * jc + 1.0) - jc * math.log(2.0) - gammaln(jc + 1.0)
-    log_mag = log_choose + log_dfact_j + log_dfact_jc + (-0.5 - j) * log_u + (-0.5 - jc) * log_v
-    signs = np.where(((order - np.arange(order + 1)) % 2) == 0, 1, -1)
-    return logreal_sum(LogReal(int(s), float(m)) for s, m in zip(signs, log_mag))
+    if order < 0:
+        raise DomainError(f"derivative order must be >= 0, got {order}")
+    y = np.asarray(y, dtype=np.float64)
+    _check_y(y)
+    logs, powers = _legendre_terms(order)
+    log_s = np.log1p(-2.0 * y) + np.log1p(2.0 * y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(2.0 * y) - 0.5 * log_s  # -inf at y = 0
+        terms = logs + powers * log_w[..., None]
+    terms[..., -1] = logs[-1]  # the w^0 term, also where 0 * ln w is nan
+    top = terms.max(axis=-1)
+    out = top + np.log(np.exp(terms - top[..., None]).sum(axis=-1)) - 0.5 * (order + 1) * log_s
+    if order % 2:
+        out = out + log_w  # the odd power of w left out of powers
+    return float(out) if out.ndim == 0 else out
 
 
 def genfunc_derivative(order: int, y: float) -> LogReal:
-    """m-th derivative of g(y) = 1/sqrt(1 - 4 y^2) at y, as a LogReal.
+    """m-th derivative of g(y) = 1/sqrt(1 - 4 y^2) at a scalar y, as a LogReal.
 
     Positive for every admissible y > 0; odd orders vanish at y = 0.
     Raises DomainError outside 0 <= y < 0.5.
     """
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
-    _check_y(y)
-    if y > _LEIBNIZ_SWITCH:
-        return _genfunc_branch_points(order, y)
-    return _genfunc_series(order, y)
+    log_mag = log_genfunc_derivative(order, y)
+    return LogReal(1, log_mag) if log_mag > -math.inf else LogReal.zero()

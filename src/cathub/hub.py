@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
-from .fock import FockVector, genfunc_derivative, parity_of, photon_offset
-from .logreal import LogReal
+from .fock import FockVector, genfunc_derivative, log_genfunc_derivative, parity_of, photon_offset
+from .logreal import LogReal, log_factorials
 
 __all__ = [
     "HubConfig",
@@ -140,54 +139,55 @@ class Outcome:
         return self.total // 2
 
 
+def _check_open_y(y) -> None:
+    if not np.all((0.0 < y) & (y < 0.5)):
+        raise DomainError(f"y must lie in (0, 0.5), got {y}")
+
+
 def default_cutoff(m: int, y: float) -> int:
     """Storage cutoff large enough for a 1e-14 relative amplitude tail.
 
     Two regimes: the 40/(1-2y) term covers the broadening of the bare
     squeezed distribution as y -> 1/2, while the (2m+24)/(-ln 2y) term covers
     the slow n^m growth of the factorial ratio before geometric decay in
-    (2y)^n takes over.
+    (2y)^n takes over.  Raises DomainError outside 0 < y < 0.5.
     """
+    _check_open_y(y)
     broad = math.ceil((8.0 * (m + 1) + 40.0 / (1.0 - 2.0 * y)) / 2.0)
     slow = math.ceil((2.0 * m + 24.0) / max(-math.log(2.0 * y), 1e-3) + 16.0)
     return max(broad, slow, 16)
 
 
-def _log_heralded_unnorm(parity: str, m: int, y: float, n: np.ndarray) -> np.ndarray:
-    """Log of the un-normalised heralded amplitudes on index array n."""
-    log_y = math.log(y)
-    if parity == "even":
-        return (
-            n * log_y
-            + gammaln(2.0 * (n + m) + 1.0)
-            - gammaln(n + m + 1.0)
-            - 0.5 * gammaln(2.0 * n + 1.0)
-        )
-    return (
-        n * log_y
-        + gammaln(2.0 * (n + m + 1) + 1.0)
-        - gammaln(n + m + 2.0)
-        - 0.5 * gammaln(2.0 * n + 2.0)
-    )
-
-
-def heralded_amps(parity: str, m: int, y: float, n_max: int) -> np.ndarray:
+def heralded_amps(parity: str, m: int, y, n_max: int) -> np.ndarray:
     """Normalised heralded amplitudes for indices 0..n_max.
 
-    The normalisation constant comes from genfunc_derivative rather than from
-    the stored amplitudes, so a window shorter than the state's support still
-    carries exact amplitudes.
+    y is a scalar, or a 1-D array for one row of amplitudes per y.  The
+    normalisation constant comes from the generating-function derivative
+    rather than from the stored amplitudes, so a window shorter than the
+    state's support still carries exact amplitudes.
     """
+    off = photon_offset(parity)
     if m < 0:
         raise DomainError(f"pair count m must be >= 0, got {m}")
-    if not (0.0 < y < 0.5):
-        raise DomainError(f"y must lie in (0, 0.5), got {y}")
-    order = 2 * m if parity == "even" else 2 * m + 1
-    log_z = genfunc_derivative(order, y).log_mag
-    n = np.arange(n_max + 1, dtype=np.float64)
-    logs = _log_heralded_unnorm(parity, m, y, n) - 0.5 * log_z
-    if parity == "odd":
-        logs += 0.5 * math.log(y)
+    y = np.asarray(y, dtype=np.float64)
+    _check_open_y(y)
+    order = 2 * m + off
+    if y.ndim == 0:
+        log_z = genfunc_derivative(order, float(y)).log_mag
+    else:
+        log_z = log_genfunc_derivative(order, y)[:, None]
+        y = y[:, None]
+    n = np.arange(n_max + 1)
+    log_y = np.log(y)
+    logs = (
+        n * log_y
+        + log_factorials(2 * (n + m + off))
+        - log_factorials(n + m + off)
+        - 0.5 * log_factorials(2 * n + off)
+        - 0.5 * log_z
+    )
+    if off:
+        logs += 0.5 * log_y
     return np.exp(logs)
 
 
@@ -195,14 +195,14 @@ def heralded_state(parity: str, m: int, y: float, cutoff: int | None = None) -> 
     """The state heralded by subtracting 2m (even) or 2m+1 (odd) photons.
 
     y is the generating-function parameter at the herald point (the end of
-    the chain).  The result is normalised analytically; its norm differing
-    from one therefore cross-checks genfunc_derivative against a direct sum.
+    the chain), 0 < y < 0.5.  The result is normalised analytically; its
+    norm differing from one therefore cross-checks genfunc_derivative
+    against a direct sum.
     """
     photon_offset(parity)
     if m < 0:
         raise DomainError(f"pair count m must be >= 0, got {m}")
-    if not 0.0 <= y < 0.5:
-        raise DomainError(f"herald parameter must lie in [0, 0.5), got {y}")
+    _check_open_y(y)
     if cutoff is None:
         cutoff = default_cutoff(m, y)
         # the default rule can undershoot in odd corners; grow until clean
@@ -230,11 +230,11 @@ def squeezed_vacuum(s: float, cutoff: int | None = None) -> FockVector:
     y0 = math.tanh(s) / 2.0
     if cutoff is None:
         cutoff = default_cutoff(0, y0)
-    n = np.arange(cutoff + 1, dtype=np.float64)
+    n = np.arange(cutoff + 1)
     logs = (
         n * math.log(y0)
-        + 0.5 * gammaln(2.0 * n + 1.0)
-        - gammaln(n + 1.0)
+        + 0.5 * log_factorials(2 * n)
+        - log_factorials(n)
         - 0.5 * math.log(math.cosh(s))
     )
     vec = FockVector("even", np.exp(logs))

@@ -9,7 +9,9 @@ therefore carried as (sign, log magnitude) pairs and exponentiated last.
 import math
 from dataclasses import dataclass
 
-__all__ = ["LogReal", "log_factorial", "log_binomial", "logreal_sum"]
+import numpy as np
+
+__all__ = ["LogReal", "log_factorial", "log_factorials", "log_binomial", "logreal_sum"]
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,27 @@ def log_factorial(n: int) -> LogReal:
     if n < 0:
         raise ValueError(f"factorial of negative integer {n}")
     return LogReal(1, math.lgamma(n + 1))
+
+
+# ln(k!) for k = 0..len-1; a memo of math.lgamma values, grown on demand.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def log_factorials(n) -> np.ndarray:
+    """ln(n!) elementwise for an array of nonnegative integers.
+
+    Looks the values up in a table of math.lgamma values that doubles
+    whenever a larger argument arrives, so repeated calls cost one gather.
+    """
+    global _LOG_FACTORIALS
+    n = np.asarray(n, dtype=np.intp)
+    if n.min(initial=0) < 0:
+        raise ValueError("factorial of a negative integer")
+    top = int(n.max(initial=0))
+    if top >= len(_LOG_FACTORIALS):
+        size = max(top + 1, 2 * len(_LOG_FACTORIALS))
+        _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(size)])
+    return _LOG_FACTORIALS[n]
 
 
 def log_binomial(n: int, k: int) -> float:

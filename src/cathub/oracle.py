@@ -17,8 +17,7 @@ from .detector import _branch_weight_log
 from .errors import DomainError
 from .fock import FockVector
 from .hub import HubConfig, Outcome, heralded_amps
-from .logreal import LogReal, logreal_sum
-from scipy.special import gammaln
+from .logreal import LogReal, log_factorials, logreal_sum
 
 _LOSSY_LEVEL_EPS = 1e-16
 _LOSSY_LEVEL_CAP = 400
@@ -68,10 +67,10 @@ def bs_matrix_element(
     if lo > hi:
         return 0.0
     prefactor = 0.5 * (
-        gammaln(n_out0 + 1)
-        + gammaln(n_out1 + 1)
-        - gammaln(n_in0 + 1)
-        - gammaln(n_in1 + 1)
+        math.lgamma(n_out0 + 1)
+        + math.lgamma(n_out1 + 1)
+        - math.lgamma(n_in0 + 1)
+        - math.lgamma(n_in1 + 1)
     )
     terms = []
     for i in range(lo, hi + 1):
@@ -80,8 +79,8 @@ def bs_matrix_element(
         r_pow = (n_in0 - i) + j
         log_mag = (
             prefactor
-            + gammaln(n_in0 + 1) - gammaln(i + 1) - gammaln(n_in0 - i + 1)
-            + gammaln(n_in1 + 1) - gammaln(j + 1) - gammaln(n_in1 - j + 1)
+            + math.lgamma(n_in0 + 1) - math.lgamma(i + 1) - math.lgamma(n_in0 - i + 1)
+            + math.lgamma(n_in1 + 1) - math.lgamma(j + 1) - math.lgamma(n_in1 - j + 1)
             + t_pow * log_t
             + r_pow * log_r
         )
@@ -117,11 +116,11 @@ def _smsv_true_basis(s: float, span: int) -> np.ndarray:
     """SMSV amplitudes over true photon numbers 0..span."""
     y0 = math.tanh(s) / 2.0
     amps = np.zeros(span + 1)
-    n = np.arange(span // 2 + 1, dtype=np.float64)
+    n = np.arange(span // 2 + 1)
     logs = (
         n * math.log(y0)
-        + 0.5 * gammaln(2.0 * n + 1.0)
-        - gammaln(n + 1.0)
+        + 0.5 * log_factorials(2 * n)
+        - log_factorials(n)
         - 0.5 * math.log(math.cosh(s))
     ) if y0 > 0.0 else None
     if logs is None:

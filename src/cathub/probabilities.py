@@ -8,8 +8,6 @@ and returned as plain floats.
 
 import math
 
-from scipy.special import gammaln
-
 from .errors import DomainError
 from .fock import genfunc_derivative, photon_offset
 from .hub import HubConfig, Outcome
@@ -37,7 +35,7 @@ def success_prob_single(m: int, parity: str, t1: float, s: float) -> LogReal:
     log_p = (
         -math.log(math.cosh(s))
         + n * (_log_tap_ratio(t1) + math.log(y1))
-        - gammaln(n + 1)
+        - math.lgamma(n + 1)
     )
     return LogReal(1, log_p) * genfunc_derivative(n, y1)
 
@@ -58,7 +56,7 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
             continue
         if t_l == 1.0:
             return LogReal.zero()
-        log_p += n_l * (_log_tap_ratio(t_l) + math.log(y_l)) - gammaln(n_l + 1)
+        log_p += n_l * (_log_tap_ratio(t_l) + math.log(y_l)) - math.lgamma(n_l + 1)
     return LogReal(1, log_p) * genfunc_derivative(outcome.total, cfg.y_out)
 
 
@@ -87,7 +85,7 @@ def conditional_prob(
     y_prev = cfg.y0 if index == 1 else cfg.y_chain[index - 2]
     if t_i == 1.0:
         return 1.0 if count == 0 else 0.0
-    log_w = count * (_log_tap_ratio(t_i) + math.log(y_i)) - gammaln(count + 1)
+    log_w = count * (_log_tap_ratio(t_i) + math.log(y_i)) - math.lgamma(count + 1)
     ratio = genfunc_derivative(seen + count, y_i) / genfunc_derivative(seen, y_prev)
     return (LogReal(1, log_w) * ratio).to_float()
 
@@ -115,7 +113,7 @@ def demux_ratio(outcome: Outcome, t: float) -> LogReal:
     w = sum((k - pos) * n for pos, n in enumerate(outcome.counts, start=1))
     log_r = (
         -2.0 * w * math.log(t)
-        + gammaln(outcome.total + 1)
-        - sum(gammaln(n + 1) for n in outcome.counts)
+        + math.lgamma(outcome.total + 1)
+        - sum(math.lgamma(n + 1) for n in outcome.counts)
     )
     return LogReal(1, log_r)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from cathub.cats import cat_state, fidelity, mean_photon, optimal_y
+from cathub.cats import _SCAN_POINTS, _Y_HI, _Y_LO, cat_state, fidelity, mean_photon, optimal_y
 from cathub.errors import DomainError
 from cathub.fock import FockVector
-from cathub.hub import heralded_state
+from cathub.hub import heralded_amps, heralded_state
 
 # frozen optimizer outputs, used as regression anchors
 Y_STAR_20_3 = 0.15220189
@@ -80,6 +81,22 @@ def test_optimal_y_bracket_and_evaluations():
     assert lo <= res.y_star <= hi
     assert res.evaluations > 0
     assert 0.0 < res.y_star < 0.5
+
+
+def test_optimal_y_counts_scan_and_refinement():
+    # 256 scan points plus the golden-section calls down to a 1e-10 bracket
+    assert optimal_y("even", 20, 3.0).evaluations == 296
+    assert optimal_y("odd", 91, 6.0).evaluations == 296
+
+
+@pytest.mark.parametrize("parity,n,beta", [("even", 20, 3.0), ("odd", 91, 6.0), ("even", 0, 0.5)])
+def test_batched_scan_matches_scalar_objective(parity, n, beta):
+    target = cat_state(beta, parity)
+    ys = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
+    batched = (heralded_amps(parity, n // 2, ys, target.cutoff) @ target.amps) ** 2
+    scalar = [float(np.dot(heralded_amps(parity, n // 2, y, target.cutoff), target.amps)) ** 2 for y in ys]
+    assert batched.shape == (_SCAN_POINTS,)
+    np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
 
 
 def test_more_subtraction_needs_smaller_y():

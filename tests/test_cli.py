@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cathub import cli
 from cathub.cli import main
 from cathub.probabilities import demux_ratio
 from cathub.hub import Outcome
@@ -177,6 +178,19 @@ def test_detector_report_reference_row(tmp_path):
     assert float(rows[0][5]) == pytest.approx(0.8358, abs=1e-3)
 
 
+def test_detector_report_summary_keeps_zero_exact_multiplier(tmp_path, capsys, monkeypatch):
+    # a genuine 0.0 exact multiplier belongs in the summary like any other value
+    monkeypatch.setattr(cli, "lossy_fidelity_exact", lambda *args: 0.0)
+    code = main(
+        ["detector-report", "--k", "1", "--t", "0.9", "--N", "20", "--beta", "3",
+         "--out", str(tmp_path / "d.csv")]
+    )
+    assert code == 0
+    assert "exact multiplier 0" in capsys.readouterr().err
+    _, rows = _rows(tmp_path / "d.csv")
+    assert float(rows[0][6]) == 0.0
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("N = 20\nbeta = 3 # with a comment\n", encoding="utf-8")
@@ -207,9 +221,10 @@ def test_oracle_check_minimal_pass(capsys):
 
 
 def test_oracle_check_impossible_tolerance(capsys):
+    # no float64 comparison reaches 1e-18, so the check must report FAIL
     code = main(
         ["oracle-check", "--k", "1", "--N", "2", "--t", "0.9", "--s", "0.8",
-         "--tolerance", "1e-15"]
+         "--tolerance", "1e-18"]
     )
     assert code == 3
     assert "FAIL" in capsys.readouterr().out

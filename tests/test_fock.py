@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cathub.fock import (
     FockVector,
     genfunc_derivative,
     inner_product,
+    log_genfunc_derivative,
     parity_of,
     photon_offset,
 )
@@ -102,20 +105,6 @@ def test_genfunc_consistent_with_finite_difference(order, y):
     assert got == pytest.approx(fd, rel=1e-6)
 
 
-def test_genfunc_series_and_expansion_branches_agree():
-    # both evaluation routes are valid near the switchover; at identical y
-    # they must agree to near machine precision
-    from cathub.fock import _genfunc_branch_points, _genfunc_series
-
-    for order in (0, 4, 11):
-        for y in (0.26, 0.30, 0.34):
-            series = _genfunc_series(order, y)
-            expanded = _genfunc_branch_points(order, y)
-            assert series.to_float() == pytest.approx(
-                expanded.to_float(), rel=1e-11
-            )
-
-
 def test_genfunc_grows_toward_branch_point():
     lo = genfunc_derivative(6, 0.30)
     hi = genfunc_derivative(6, 0.49)
@@ -136,3 +125,78 @@ def test_genfunc_zero_argument():
     assert genfunc_derivative(0, 0.0).to_float() == 1.0
     assert genfunc_derivative(1, 0.0).is_zero()
     assert genfunc_derivative(2, 0.0).to_float() == pytest.approx(4.0, rel=1e-12)
+
+
+def test_genfunc_zero_argument_higher_orders():
+    # at y = 0 only the w^0 Legendre term survives: C(m, m/2) m! for even m
+    for order in (4, 40, 400):
+        want = math.log(math.comb(order, order // 2) * math.factorial(order))
+        assert genfunc_derivative(order, 0.0).log_mag == pytest.approx(want, rel=1e-14)
+    for order in (3, 41, 401):
+        assert genfunc_derivative(order, 0.0).is_zero()
+        assert log_genfunc_derivative(order, 0.0) == -math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_log_genfunc(order: int, y: float) -> float:
+    """ln g^(order)(y) from the exact Leibniz expansion over the branch points.
+
+    g = (1-2y)^(-1/2) (1+2y)^(-1/2), so its m-th derivative is
+    sum_j C(m, j) (-1)^(m-j) (2j-1)!! (2(m-j)-1)!! (1-2y)^(-1/2-j) (1+2y)^(-1/2-m+j).
+    The signed sum can cancel; the working precision covers the gap between
+    the sum of |terms|, at most 2^m m! (1-2y)^(-m-1), and the result, at
+    least the first term of the power series of g^(m).
+    """
+    m = order
+    ln_upper = m * math.log(2.0) + math.lgamma(m + 1) - (m + 1) * math.log1p(-2.0 * y)
+    k0 = (m + 1) // 2
+    p = 2 * k0 - m
+    ln_lower = 2 * math.lgamma(2 * k0 + 1) - 2 * math.lgamma(k0 + 1) - math.lgamma(p + 1) + p * math.log(y)
+    dps = 30 + max(0, math.ceil((ln_upper - ln_lower) / math.log(10.0)))
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(y)  # exact: the binary float itself
+        u, v = 1 - 2 * x, 1 + 2 * x
+        # a[j] = (2j-1)!! u^(-j), b[j] = (2j-1)!! v^(-j)
+        a, b = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for j in range(m):
+            a.append(a[-1] * (2 * j + 1) / u)
+            b.append(b[-1] * (2 * j + 1) / v)
+        total = mpmath.mpf(0)
+        for j in range(m + 1):
+            term = math.comb(m, j) * a[j] * b[m - j]
+            total += term if (m - j) % 2 == 0 else -term
+        return float(mpmath.log(total / mpmath.sqrt(u * v)))
+
+
+@pytest.mark.parametrize("y", [1e-6, 0.01, 0.2, 0.2999, 0.3001, 0.45, 0.499])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 40, 90, 91, 200, 400])
+def test_genfunc_matches_mpmath(order, y):
+    ref = _mpmath_log_genfunc(order, y)
+    got = log_genfunc_derivative(order, y)
+    assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert genfunc_derivative(order, y).log_mag == got
+
+
+def test_mpmath_reference_matches_closed_forms():
+    y = 0.21
+    assert _mpmath_log_genfunc(0, y) == pytest.approx(math.log(_g0(y)), abs=1e-15)
+    assert _mpmath_log_genfunc(1, y) == pytest.approx(math.log(_g1(y)), abs=1e-15)
+    assert _mpmath_log_genfunc(2, y) == pytest.approx(math.log(_g2(y)), abs=1e-15)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 90, 91, 400])
+def test_genfunc_array_form_equals_scalar_form(order):
+    ys = np.concatenate([[0.0], np.linspace(1e-6, 0.5 - 1e-6, 97)])
+    got = log_genfunc_derivative(order, ys)
+    assert got.shape == ys.shape
+    want = [log_genfunc_derivative(order, float(y)) for y in ys]
+    np.testing.assert_array_equal(got, want)
+    grid = log_genfunc_derivative(order, ys.reshape(7, 14))
+    np.testing.assert_array_equal(grid.ravel(), want)
+
+
+def test_genfunc_array_domain_errors():
+    with pytest.raises(DomainError):
+        log_genfunc_derivative(3, np.array([0.1, 0.5]))
+    with pytest.raises(DomainError):
+        log_genfunc_derivative(3, np.array([0.1, math.nan]))

@@ -165,3 +165,25 @@ def test_heralded_state_rejects_bad_inputs():
         heralded_state("even", 2, 0.5)
     with pytest.raises(DomainError):
         heralded_state("sideways", 2, 0.2)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_heralded_state_rejects_zero_herald_parameter(parity):
+    # y = 0 has no photon-subtracted state to normalise; it is a domain
+    # error like every other y outside (0, 0.5), not a bare math error
+    with pytest.raises(DomainError):
+        heralded_state(parity, 3, 0.0)
+    with pytest.raises(DomainError):
+        heralded_state(parity, 3, 0.0, cutoff=20)
+    with pytest.raises(DomainError):
+        default_cutoff(3, 0.0)
+    with pytest.raises(DomainError):
+        heralded_amps(parity, 3, np.array([0.1, 0.0]), 20)
+
+
+def test_heralded_amps_rows_follow_y_array():
+    ys = np.array([0.05, 0.2, 0.33, 0.49])
+    grid = heralded_amps("odd", 7, ys, 30)
+    assert grid.shape == (4, 31)
+    for row, y in zip(grid, ys):
+        np.testing.assert_allclose(row, heralded_amps("odd", 7, y, 30), rtol=1e-14, atol=0.0)
