@@ -25,13 +25,13 @@ from .fock import FockVector, genfunc_derivative, inner_product, parity_of
 from .hub import (
     HubConfig,
     Outcome,
+    chain_transmission,
     default_cutoff,
-    herald_amplitude,
     heralded_amps,
     heralded_state,
     squeezed_vacuum,
 )
-from .logreal import LogReal, log_binomial, log_factorial, logreal_sum
+from .logreal import LogReal, log_binomial, logreal_sum, logreal_sum_logs
 from .oracle import (
     EquivalenceReport,
     TwoModeState,
@@ -66,20 +66,20 @@ __all__ = [
     "apply_splitter",
     "bs_matrix_element",
     "cat_state",
+    "chain_transmission",
     "conditional_prob",
     "default_cutoff",
     "demux_ratio",
     "equivalence_grid",
     "fidelity",
     "genfunc_derivative",
-    "herald_amplitude",
     "heralded_amps",
     "heralded_state",
     "inner_product",
     "joint_success_prob",
     "log_binomial",
-    "log_factorial",
     "logreal_sum",
+    "logreal_sum_logs",
     "lossy_fidelity_exact",
     "lossy_fidelity_firstorder",
     "lossy_fidelity_mixture",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import FockVector, genfunc_derivative, inner_product, photon_offset
-from .hub import heralded_amps
+from .hub import _check_open_y, heralded_amps
 from .logreal import log_factorials
 
 __all__ = ["OptResult", "cat_state", "fidelity", "mean_photon", "optimal_y"]
@@ -65,19 +65,32 @@ def fidelity(a: FockVector, b: FockVector) -> float:
     return min(ov * ov, 1.0)
 
 
+def _check_subtracted(parity: str, n_subtracted: int) -> None:
+    if n_subtracted < 0 or n_subtracted % 2 != photon_offset(parity):
+        raise DomainError(
+            f"subtracted count {n_subtracted} does not match parity {parity!r}"
+        )
+
+
+def _cat_overlap(parity: str, m: int, y, target: FockVector):
+    """|<heralded state|target>|^2 for 2m (+1 if odd) subtracted photons.
+
+    y is a scalar, or an array for one overlap per entry.  The heralded
+    amplitudes are evaluated on the target's support only; their analytic
+    normalisation keeps that exact.  np.square is x * x exactly, also for a
+    scalar, where ** 2 would call pow.
+    """
+    return np.square(heralded_amps(parity, m, y, target.cutoff) @ target.amps)
+
+
 def mean_photon(parity: str, n_subtracted: int, y: float) -> float:
     """Mean photon number of the heralded state for N subtracted photons.
 
     Equals y * g^(N+1)(y) / g^(N)(y); this is the same number as the direct
     second-moment sum over the state's amplitudes.
     """
-    off = photon_offset(parity)
-    if n_subtracted < 0 or n_subtracted % 2 != off:
-        raise DomainError(
-            f"subtracted count {n_subtracted} does not match parity {parity!r}"
-        )
-    if not (0.0 < y < 0.5):
-        raise DomainError(f"y must lie in (0, 0.5), got {y}")
+    _check_subtracted(parity, n_subtracted)
+    _check_open_y(y)
     ratio = genfunc_derivative(n_subtracted + 1, y) / genfunc_derivative(n_subtracted, y)
     return y * ratio.to_float()
 
@@ -98,31 +111,22 @@ def optimal_y(parity: str, n_subtracted: int, beta: float) -> OptResult:
     A 256-point scan over the full admissible interval, evaluated as one
     matrix of heralded amplitudes against the cat state, locates the global
     peak (ties resolved towards smaller y); then a golden-section refinement
-    narrows the bracket to 1e-10.  The objective evaluates the heralded
-    amplitudes only on the cat state's support; the analytic normalisation
-    keeps that exact.  evaluations counts the scan points plus the scalar
-    refinement calls.
+    narrows the bracket to 1e-10.  evaluations counts the scan points plus
+    the scalar refinement calls.
     """
-    off = photon_offset(parity)
-    if n_subtracted < 0 or n_subtracted % 2 != off:
-        raise DomainError(
-            f"subtracted count {n_subtracted} does not match parity {parity!r}"
-        )
+    _check_subtracted(parity, n_subtracted)
     if not (beta > 0.0):
         raise DomainError(f"beta must be positive, got {beta}")
     target = cat_state(beta, parity)
     m = n_subtracted // 2
-    n_win = target.cutoff
 
     def objective(y: float) -> float:
         nonlocal evals
         evals += 1
-        amps = heralded_amps(parity, m, y, n_win)
-        ov = float(np.dot(amps, target.amps))
-        return ov * ov
+        return float(_cat_overlap(parity, m, y, target))
 
     ys = np.linspace(_Y_LO, _Y_HI, _SCAN_POINTS)
-    vals = (heralded_amps(parity, m, ys, n_win) @ target.amps) ** 2
+    vals = _cat_overlap(parity, m, ys, target)
     evals = _SCAN_POINTS
     best = int(np.argmax(vals))  # first occurrence wins ties -> smaller y
 

@@ -10,14 +10,16 @@ check failure.
 """
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cats import mean_photon, optimal_y
-from .detector import lossy_fidelity_exact
+from .detector import _first_order, lossy_fidelity_exact, reduction_factor
 from .errors import DomainError, TruncationError
-from .hub import HubConfig, Outcome
+from .fock import parity_of
+from .hub import HubConfig, Outcome, chain_transmission
 from .probabilities import joint_success_prob
 
 
@@ -91,9 +93,11 @@ def _fmt(value, precision: int) -> str:
 
 
 def _write_csv(path: str, header, rows, precision: int) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell, precision) for cell in row))
+    body = [",".join(_fmt(cell, precision) for cell in row) for row in rows]
+    _write_lines(path, [",".join(header)] + body)
+
+
+def _write_lines(path: str, lines) -> None:
     data = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(data)
@@ -110,34 +114,34 @@ def _map_tasks(func, tasks, workers: int) -> list:
         return list(pool.map(func, tasks))
 
 
+def _check_min(flag: str, value, low) -> None:
+    if not value >= low:
+        raise _UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 def _check_common(args) -> None:
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
+    _check_min("--workers", args.workers, 1)
     if not 1 <= args.precision <= 17:
         raise _UsageError(f"--precision must be in [1, 17], got {args.precision}")
+
+
+def _check_count(n: int, parity: str) -> None:
+    if n < 0 or parity_of(n) != parity:
+        raise _UsageError(f"--N count {n} does not have parity {parity!r}")
+
+
+def _parse_transmittances(text: str) -> list:
+    ts = _parse_floats(text)
+    for t in ts:
+        if not 0.0 < t <= 1.0:
+            raise _UsageError(f"transmittance must lie in (0, 1], got {t}")
+    return ts
 
 
 def _fidelity_row(task):
     parity, n, beta = task
     res = optimal_y(parity, n, beta)
     return (parity, n, beta, res.y_star, res.fidelity, res.evaluations)
-
-
-def cmd_fidelity_sweep(args) -> int:
-    _check_common(args)
-    ns = _parse_ints(args.N)
-    betas = _parse_floats(args.beta)
-    offset = 0 if args.parity == "even" else 1
-    for n in ns:
-        if n < 0 or n % 2 != offset:
-            raise _UsageError(
-                f"count {n} does not have parity {args.parity!r}"
-            )
-    tasks = [(args.parity, n, beta) for n in ns for beta in betas]
-    rows = _map_tasks(_fidelity_row, tasks, args.workers)
-    header = ("parity", "N", "beta", "y_star", "fidelity", "evaluations")
-    _write_csv(args.out, header, rows, args.precision)
-    return 0
 
 
 def _meanphoton_row(task):
@@ -147,46 +151,38 @@ def _meanphoton_row(task):
     return (parity, n, beta, res.y_star, mean_n, beta * beta)
 
 
-def cmd_meanphoton_sweep(args) -> int:
+def cmd_optimum_sweep(args) -> int:
+    """fidelity-sweep and meanphoton-sweep: one row per (N, beta) at optimal y."""
     _check_common(args)
     ns = _parse_ints(args.N)
     betas = _parse_floats(args.beta)
-    offset = 0 if args.parity == "even" else 1
     for n in ns:
-        if n < 0 or n % 2 != offset:
-            raise _UsageError(
-                f"count {n} does not have parity {args.parity!r}"
-            )
+        _check_count(n, args.parity)
     tasks = [(args.parity, n, beta) for n in ns for beta in betas]
-    rows = _map_tasks(_meanphoton_row, tasks, args.workers)
-    header = ("parity", "N", "beta", "y_star", "mean_n", "beta_sq")
-    _write_csv(args.out, header, rows, args.precision)
+    rows = _map_tasks(args.row, tasks, args.workers)
+    _write_csv(args.out, args.header, rows, args.precision)
     return 0
 
 
 def _prob_row(task):
     t, beta, counts = task
     total = sum(counts)
-    parity = "even" if total % 2 == 0 else "odd"
-    res = optimal_y(parity, total, beta)
+    res = optimal_y(parity_of(total), total, beta)
     n1 = counts[0]
     n2 = counts[1] if len(counts) == 2 else None
-    scale = (t * t) ** len(counts)
     # herald point fixed by the fidelity optimum; the source squeezing must
     # reach it through the taps, which fails once tanh(s) would hit 1
-    if 2.0 * res.y_star / scale >= 1.0:
+    try:
+        cfg = HubConfig.from_target_y(res.y_star, (t,) * len(counts))
+    except DomainError:
         return (t, beta, n1, n2, res.y_star, math.nan, math.nan)
-    cfg = HubConfig.from_target_y(res.y_star, (t,) * len(counts))
     prob = joint_success_prob(cfg, Outcome(counts)).to_float()
     return (t, beta, n1, n2, res.y_star, cfg.squeezing, prob)
 
 
 def cmd_prob_sweep(args) -> int:
     _check_common(args)
-    ts = _parse_floats(args.t)
-    for t in ts:
-        if not 0.0 < t <= 1.0:
-            raise _UsageError(f"transmittance must lie in (0, 1], got {t}")
+    ts = _parse_transmittances(args.t)
     betas = _parse_floats(args.beta)
     counts = _parse_counts(args.counts)
     tasks = [(t, beta, c) for t in ts for beta in betas for c in counts]
@@ -198,52 +194,40 @@ def cmd_prob_sweep(args) -> int:
 
 def cmd_detector_report(args) -> int:
     _check_common(args)
-    ts = _parse_floats(args.t)
+    ts = _parse_transmittances(args.t)
     ks = _parse_ints(args.k)
-    for t in ts:
-        if not 0.0 < t <= 1.0:
-            raise _UsageError(f"transmittance must lie in (0, 1], got {t}")
     for k in ks:
-        if k < 1:
-            raise _UsageError(f"splitter count must be >= 1, got {k}")
+        _check_min("splitter count --k", k, 1)
     if not 0.0 < args.eta <= 1.0:
         raise _UsageError(f"--eta must lie in (0, 1], got {args.eta}")
-    if args.N % 2 != 0 or args.N < 0:
-        raise _UsageError(f"reference count --N must be even and >= 0, got {args.N}")
+    _check_min("--mean-n", args.mean_n, 0.0)
+    _check_count(args.N, "even")
 
     ref = optimal_y("even", args.N, args.beta)
     rows = []
     summary = []
     for k in ks:
         for t in ts:
-            t_prod_sq = (t * t) ** k
-            eps = (1.0 - t_prod_sq) / t_prod_sq
-            rf = eps * args.mean_n
-            mult_first = 1.0 - (1.0 - args.eta) * rf
-            penalty = ((1.0 - args.eta) * rf) ** 2
+            rf = reduction_factor(chain_transmission((t,) * k), args.mean_n)
+            first = _first_order(args.eta, rf)
             mult_exact = None
-            if k == 1 and 2.0 * ref.y_star / t_prod_sq < 1.0:
-                cfg = HubConfig.from_target_y(ref.y_star, (t,))
-                exact = lossy_fidelity_exact(cfg, args.N, args.eta, args.beta)
-                mult_exact = exact / ref.fidelity
+            if k == 1:
+                try:
+                    cfg = HubConfig.from_target_y(ref.y_star, (t,))
+                    exact = lossy_fidelity_exact(cfg, args.N, args.eta, args.beta)
+                    mult_exact = exact / ref.fidelity
+                except DomainError:
+                    pass  # herald point out of reach, or nothing reflects at t = 1
             rows.append(
-                (k, t, args.eta, args.mean_n, rf, mult_first, mult_exact, penalty)
+                (k, t, args.eta, args.mean_n, rf, first.multiplier, mult_exact, first.penalty)
             )
             summary.append(
                 f"k={k} t={t:g}: reduction factor {rf:.4g}, "
-                f"first-order multiplier {mult_first:.4g}"
+                f"first-order multiplier {first.multiplier:.4g}"
                 + (f", exact multiplier {mult_exact:.4g}" if mult_exact is not None else "")
             )
-    header = (
-        "k",
-        "t",
-        "eta",
-        "mean_n",
-        "reduction_factor",
-        "multiplier_firstorder",
-        "multiplier_exact",
-        "tradeoff_penalty",
-    )
+    header = ("k", "t", "eta", "mean_n", "reduction_factor", "multiplier_firstorder",
+              "multiplier_exact", "tradeoff_penalty")
     _write_csv(args.out, header, rows, args.precision)
     print("\n".join(summary), file=sys.stderr)
     return 0
@@ -251,6 +235,9 @@ def cmd_detector_report(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     _check_common(args)
+    _check_min("--k", args.k, 1)
+    _check_min("--N", args.N, 0)
+    _check_min("--cutoff", args.cutoff, 1)
     from .oracle import equivalence_grid
 
     ts = tuple(_parse_floats(args.t))
@@ -271,11 +258,9 @@ def cmd_oracle_check(args) -> int:
         f"tolerance: {args.tolerance:.3e}",
         "result: PASS" if report.passed(args.tolerance) else "result: FAIL",
     ]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    _write_lines("-", lines)
     if args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_lines(args.out, lines)
     return 0 if report.passed(args.tolerance) else 3
 
 
@@ -290,20 +275,29 @@ def _add_common(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="cathub",
         description="Sweep heralded-cat fidelities, probabilities and "
         "detector effects; emit deterministic CSV.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("fidelity-sweep", help="optimal herald parameter per (N, beta)")
-    p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--N", default="90", help="comma list of detected counts")
-    p.add_argument("--beta", default="0.5:6:0.25", help="target amplitude grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_fidelity_sweep)
+    for name, help_text, n_default, row, last in (
+        ("fidelity-sweep", "optimal herald parameter per (N, beta)", "90",
+         _fidelity_row, ("fidelity", "evaluations")),
+        ("meanphoton-sweep", "mean photon number at optimal y", "10,20,40,90",
+         _meanphoton_row, ("mean_n", "beta_sq")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--parity", choices=("even", "odd"), default="even")
+        p.add_argument("--N", default=n_default, help="comma list of detected counts")
+        p.add_argument("--beta", default="0.5:6:0.25", help="target amplitude grid")
+        _add_common(p)
+        p.set_defaults(
+            func=cmd_optimum_sweep, row=row, header=("parity", "N", "beta", "y_star") + last
+        )
 
     p = sub.add_parser("prob-sweep", help="heralding probability at optimal y")
     p.add_argument("--t", default="0.8", help="comma list of tap transmittances")
@@ -315,13 +309,6 @@ def build_parser() -> _Parser:
     )
     _add_common(p)
     p.set_defaults(func=cmd_prob_sweep)
-
-    p = sub.add_parser("meanphoton-sweep", help="mean photon number at optimal y")
-    p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--N", default="10,20,40,90", help="comma list of detected counts")
-    p.add_argument("--beta", default="0.5:6:0.25", help="target amplitude grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_meanphoton_sweep)
 
     p = sub.add_parser(
         "detector-report", help="loss factors and fidelity multipliers"
@@ -389,10 +376,6 @@ def main(argv=None) -> int:
     try:
         argv = _splice_config(argv)
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
-            print("cathub: a subcommand is required", file=sys.stderr)
-            return 1
         return args.func(args)
     except _UsageError as exc:
         print(f"cathub: usage error: {exc}", file=sys.stderr)

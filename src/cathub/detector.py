@@ -5,22 +5,30 @@ probability for the one-splitter setup, the first/second-order expansions
 in detector inefficiency, and the fidelity-probability trade-off product.
 
 A detector of efficiency eta that reports count n may have been hit by any
-true count j >= n; the conditional state is then a mixture over the loss
-branches.  Branches whose true count has the opposite parity overlap the
-target cat with weight zero but still carry probability, which is exactly
-what produces the first-order fidelity penalty.
+true count j >= n, with weight C(j, n) eta^n (1-eta)^(j-n); the conditional
+state is then a mixture over these loss branches, whose log masses are
+summed as one float array.  Branches whose true count has the opposite
+parity overlap the target cat with weight zero but still carry
+probability, which is exactly what produces the first-order fidelity
+penalty.
+
+At first order in 1-eta everything hangs on one number, the reduction
+factor rf = (1-T)/T <n> of a chain with squared transmittance product T:
+the fidelity multiplier is 1 - (1-eta) rf, the probability gain
+1 + (1-eta) rf and the trade-off penalty ((1-eta) rf)^2.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cats import cat_state, mean_photon
+from .cats import _cat_overlap, cat_state, mean_photon
 from .errors import DomainError
-from .fock import FockVector, inner_product, parity_of
-from .hub import HubConfig, Outcome, heralded_amps
-from .logreal import LogReal, log_binomial, logreal_sum
+from .fock import FockVector, inner_product, parity_of, photon_offset
+from .hub import HubConfig, Outcome, chain_transmission
+from .logreal import LogReal, log_factorials, logreal_sum_logs
 from .probabilities import joint_success_prob
 
 _BRANCH_EPS = 1e-16
@@ -59,24 +67,23 @@ def povm_element(m: int, eta: float, cutoff: int) -> PovmElement:
         raise DomainError(f"cutoff {cutoff} smaller than reported count {m}")
     _check_eta(eta)
     w = np.zeros(cutoff + 1)
-    if eta == 1.0:
-        w[m] = 1.0
-    else:
-        j = np.arange(m, cutoff + 1, dtype=np.float64)
-        log_c = np.array([log_binomial(int(jj), m) for jj in j])
-        w[m:] = np.exp(log_c + m * math.log(eta) + (j - m) * math.log1p(-eta))
+    w[m:] = np.exp(_branch_weight_log(m, np.arange(m, cutoff + 1), eta))
     w.setflags(write=False)
     return PovmElement(m, eta, w)
 
 
-def _branch_weight_log(reported: int, true_count: int, eta: float) -> float:
-    # ln of C(j, n) eta^n (1-eta)^(j-n)
+def _branch_weight_log(reported, true_count, eta: float) -> np.ndarray:
+    """ln of C(j, n) eta^n (1-eta)^(j-n), elementwise over arrays of j >= n."""
+    n = np.asarray(reported)
+    j = np.asarray(true_count)
     if eta == 1.0:
-        return 0.0 if true_count == reported else -math.inf
+        return np.where(j == n, 0.0, -math.inf)
     return (
-        log_binomial(true_count, reported)
-        + reported * math.log(eta)
-        + (true_count - reported) * math.log1p(-eta)
+        log_factorials(j)
+        - log_factorials(n)
+        - log_factorials(j - n)
+        + n * math.log(eta)
+        + (j - n) * math.log1p(-eta)
     )
 
 
@@ -88,26 +95,38 @@ def _require_single_splitter(cfg: HubConfig) -> None:
         )
 
 
-def _loss_branches(cfg: HubConfig, reported: int, eta: float):
-    """Yield (true_count, log branch mass) with mass = weight * ideal prob.
+def _reported_count(m: int, parity: str) -> int:
+    if m < 0:
+        raise DomainError(f"pair count m must be >= 0, got {m}")
+    return 2 * m + photon_offset(parity)
 
-    Stops once the mass has fallen below _BRANCH_EPS of the largest mass
-    seen, sustained over _BRANCH_RUN consecutive branches.
+
+def _loss_branches(cfg: HubConfig, reported: int, eta: float):
+    """(true counts j, ln branch masses) as arrays, mass = weight * ideal prob.
+
+    Walks j = reported, reported + 1, ... and keeps the branches with
+    nonzero ideal probability.  Stops once the mass has fallen below
+    _BRANCH_EPS of the largest mass seen, sustained over _BRANCH_RUN
+    consecutive branches; a lossless detector has the one branch j = reported.
     """
+    stop = reported + (1 if eta == 1.0 else _BRANCH_CAP + 1)
+    log_weights = _branch_weight_log(reported, np.arange(reported, stop), eta)
+    counts = []
+    log_masses = []
     best = -math.inf
     low = 0
-    for true_count in range(reported, reported + _BRANCH_CAP + 1):
+    for true_count, log_w in zip(range(reported, stop), log_weights):
         p = joint_success_prob(cfg, Outcome((true_count,)))
         if p.is_zero():
             continue
-        log_mass = _branch_weight_log(reported, true_count, eta) + p.log_mag
-        yield true_count, log_mass
-        if eta == 1.0:
-            return
+        log_mass = log_w + p.log_mag
+        counts.append(true_count)
+        log_masses.append(log_mass)
         best = max(best, log_mass)
         low = low + 1 if log_mass < best + math.log(_BRANCH_EPS) else 0
         if low >= _BRANCH_RUN:
-            return
+            break
+    return np.array(counts, dtype=np.intp), np.array(log_masses)
 
 
 def lossy_prob(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
@@ -117,14 +136,10 @@ def lossy_prob(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
     the binomial retention weight; both parities of j contribute.
     """
     _require_single_splitter(cfg)
-    if m < 0:
-        raise DomainError(f"pair count m must be >= 0, got {m}")
+    reported = _reported_count(m, parity)
     _check_eta(eta)
-    reported = 2 * m + (0 if parity == "even" else 1)
-    if parity not in ("even", "odd"):
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    terms = [LogReal(1, lm) for _, lm in _loss_branches(cfg, reported, eta)]
-    return logreal_sum(terms)
+    _, log_masses = _loss_branches(cfg, reported, eta)
+    return logreal_sum_logs(log_masses)
 
 
 def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> float:
@@ -132,7 +147,8 @@ def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> flo
 
     m is the reported photon count; its parity picks the cat family.  The
     mixture runs over true counts j >= m weighted by branch mass; branches
-    of opposite parity contribute probability but zero overlap.
+    of opposite parity contribute probability but zero overlap.  Raises
+    DomainError when no true count can be reported as m at this hub.
     """
     _require_single_splitter(cfg)
     if m < 0:
@@ -140,21 +156,13 @@ def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> flo
     _check_eta(eta)
     parity = parity_of(m)
     target = cat_state(beta, parity)
-    y = cfg.y_out
-
-    num_terms = []
-    den_terms = []
-    for true_count, log_mass in _loss_branches(cfg, m, eta):
-        mass = LogReal(1, log_mass)
-        den_terms.append(mass)
-        if true_count % 2 != m % 2:
-            continue
-        window = heralded_amps(parity, true_count // 2, y, target.cutoff)
-        ov = float(np.dot(window, target.amps))
-        num_terms.append(mass * LogReal.from_float(ov * ov))
-    num = logreal_sum(num_terms)
-    den = logreal_sum(den_terms)
-    return min((num / den).to_float(), 1.0)
+    counts, log_masses = _loss_branches(cfg, m, eta)
+    if counts.size == 0:
+        raise DomainError(f"reported count {m} carries no probability at this hub")
+    weights = np.exp(log_masses - log_masses.max())
+    same = counts % 2 == m % 2
+    fids = [_cat_overlap(parity, j // 2, cfg.y_out, target) for j in counts[same].tolist()]
+    return min(float(weights[same] @ np.array(fids)) / float(weights.sum()), 1.0)
 
 
 def reduction_factor(t_product_sq: float, mean_n: float) -> float:
@@ -169,6 +177,20 @@ def reduction_factor(t_product_sq: float, mean_n: float) -> float:
             f"squared transmittance product must lie in (0, 1], got {t_product_sq}"
         )
     return (1.0 - t_product_sq) / t_product_sq * mean_n
+
+
+class _FirstOrder(NamedTuple):
+    """First-order loss quantities for efficiency eta and reduction factor rf."""
+
+    load: float  # (1 - eta) rf
+    multiplier: float  # fidelity multiplier 1 - load
+    gain: float  # probability gain 1 + load
+    penalty: float  # trade-off penalty load^2
+
+
+def _first_order(eta: float, rf: float) -> _FirstOrder:
+    load = (1.0 - eta) * rf
+    return _FirstOrder(load, 1.0 - load, 1.0 + load, load**2)
 
 
 def lossy_fidelity_firstorder(
@@ -187,26 +209,21 @@ def lossy_fidelity_firstorder(
     to form the overlap ratio of the (N+2)- and N-photon heralded states.
     """
     _check_eta(eta)
-    eps = 1.0 - eta
     mean_n = mean_photon(parity, N, y)
-    value = 1.0 - eps * reduction_factor(t_product_sq, mean_n)
+    rf = reduction_factor(t_product_sq, mean_n)
+    value = _first_order(eta, rf).multiplier
     if not second_order:
         return value
     if beta is None:
         raise DomainError("second-order term needs the target cat amplitude")
-    ratio = (1.0 - t_product_sq) / t_product_sq
-    other_parity = "odd" if parity == "even" else "even"
-    mean_other = mean_photon(other_parity, N + 1, y)
+    mean_other = mean_photon(parity_of(N + 1), N + 1, y)
     target = cat_state(beta, parity)
-    base = heralded_amps(parity, N // 2, y, target.cutoff)
-    bumped = heralded_amps(parity, N // 2 + 1, y, target.cutoff)
-    f_base = float(np.dot(base, target.amps)) ** 2
-    f_bumped = float(np.dot(bumped, target.amps)) ** 2
-    overlap_ratio = f_bumped / f_base
-    f2 = 0.5 * mean_n * ratio * ratio * (
-        2.0 * mean_n - mean_other * (1.0 - overlap_ratio)
+    overlap_ratio = _cat_overlap(parity, N // 2 + 1, y, target) / _cat_overlap(parity, N // 2, y, target)
+    # (1/2) rf (1-T)/T (2 <n> - <n'> (1 - F_(N+2) / F_N))
+    f2 = 0.5 * rf * reduction_factor(
+        t_product_sq, 2.0 * mean_n - mean_other * (1.0 - overlap_ratio)
     )
-    return value + eps * eps * f2
+    return value + (1.0 - eta) ** 2 * f2
 
 
 def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
@@ -216,12 +233,12 @@ def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> Lo
     from lossy_prob shrinks quadratically in (1-eta).
     """
     _require_single_splitter(cfg)
+    reported = _reported_count(m, parity)
     _check_eta(eta)
-    reported = 2 * m + (0 if parity == "even" else 1)
     ideal = joint_success_prob(cfg, Outcome((reported,)))
-    t_sq = cfg.transmittances[0] ** 2
     mean_n = mean_photon(parity, reported, cfg.y_out)
-    gain = 1.0 + (1.0 - eta) * reduction_factor(t_sq, mean_n)
+    rf = reduction_factor(chain_transmission(cfg.transmittances), mean_n)
+    gain = _first_order(eta, rf).gain
     return ideal * LogReal.from_float(eta**reported) * LogReal.from_float(gain)
 
 
@@ -250,24 +267,16 @@ def tradeoff_product(
     parity = outcome.parity
     y = cfg.y_out
     mean_n = mean_photon(parity, outcome.total, y)
-    t_product_sq = 1.0
-    for t in cfg.transmittances:
-        t_product_sq *= t * t
-    load = reduction_factor(t_product_sq, mean_n)
-    eps = 1.0 - eta
+    first = _first_order(eta, reduction_factor(chain_transmission(cfg.transmittances), mean_n))
 
-    target = cat_state(beta, parity)
-    window = heralded_amps(parity, outcome.pairs, y, target.cutoff)
-    ov = float(np.dot(window, target.amps))
-    fid_ideal = ov * ov
+    fid_ideal = float(_cat_overlap(parity, outcome.pairs, y, cat_state(beta, parity)))
     prob_ideal = joint_success_prob(cfg, outcome)
 
-    penalty = (eps * load) ** 2
-    closed = prob_ideal * LogReal.from_float(penalty * fid_ideal)
-    delta_f = fid_ideal * eps * load
-    delta_p = prob_ideal * LogReal.from_float(eps * load)
+    closed = prob_ideal * LogReal.from_float(first.penalty * fid_ideal)
+    delta_f = fid_ideal * first.load
+    delta_p = prob_ideal * LogReal.from_float(first.load)
     return TradeoffProduct(
-        penalty=penalty,
+        penalty=first.penalty,
         closed_form=closed,
         from_multipliers=delta_p * LogReal.from_float(delta_f),
         delta_fidelity=delta_f,

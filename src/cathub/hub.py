@@ -11,7 +11,10 @@ and the final parameter y_k:
     even N = 2m:    a_n ~ y^n (2(n+m))! / (sqrt((2n)!) (n+m)!)      on |2n>
     odd  N = 2m+1:  a_n ~ y^n (2(n+m+1))! / (sqrt((2n+1)!) (n+m+1)!) on |2n+1>
 
-normalised by the N-th derivative of the generating function g(y).
+normalised by the N-th derivative of the generating function g(y).  The
+chain enters only through y_k = T y0, with T = prod t_i^2 the squared
+transmittance product (chain_transmission).  The probability of a
+detection record is probabilities.joint_success_prob.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 from .fock import FockVector, genfunc_derivative, log_genfunc_derivative, parity_of, photon_offset
-from .logreal import LogReal, log_factorials
+from .logreal import log_factorials
 
 __all__ = [
     "HubConfig",
@@ -30,8 +33,13 @@ __all__ = [
     "squeezed_vacuum",
     "heralded_state",
     "heralded_amps",
-    "herald_amplitude",
+    "chain_transmission",
 ]
+
+
+def chain_transmission(transmittances) -> float:
+    """T = prod t_i^2, the squared transmittance product of a chain; y_k = T y0."""
+    return math.prod(t * t for t in transmittances)
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,7 @@ class HubConfig:
     def from_target_y(cls, y_target: float, transmittances) -> "HubConfig":
         """Back-solve the squeezing so the chain ends at y_k = y_target."""
         ts = tuple(float(t) for t in transmittances)
-        scale = 1.0
-        for t in ts:
-            scale *= t * t
-        tanh_s = 2.0 * y_target / scale
+        tanh_s = 2.0 * y_target / chain_transmission(ts)
         if not (0.0 < tanh_s < 1.0):
             raise DomainError(
                 f"target y = {y_target} needs tanh(s) = {tanh_s:.6g}, outside (0, 1)"
@@ -199,25 +204,19 @@ def heralded_state(parity: str, m: int, y: float, cutoff: int | None = None) -> 
     norm differing from one therefore cross-checks genfunc_derivative
     against a direct sum.
     """
-    photon_offset(parity)
-    if m < 0:
-        raise DomainError(f"pair count m must be >= 0, got {m}")
-    _check_open_y(y)
+    tries = 4 if cutoff is None else 1
     if cutoff is None:
         cutoff = default_cutoff(m, y)
-        # the default rule can undershoot in odd corners; grow until clean
-        for _ in range(4):
-            vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
-            try:
-                vec.check_tail()
-                return vec
-            except TruncationError as exc:
-                cutoff = exc.suggested_cutoff
-        vec.check_tail()
-        return vec
-    vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
-    vec.check_tail()
-    return vec
+    for attempt in range(1, tries + 1):
+        vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
+        try:
+            vec.check_tail()
+            return vec
+        except TruncationError as exc:
+            if attempt == tries:
+                raise
+            # the default rule can undershoot in odd corners; grow until clean
+            cutoff = exc.suggested_cutoff
 
 
 def squeezed_vacuum(s: float, cutoff: int | None = None) -> FockVector:
@@ -227,44 +226,17 @@ def squeezed_vacuum(s: float, cutoff: int | None = None) -> FockVector:
     """
     if not (s > 0.0) or not math.isfinite(s):
         raise DomainError(f"squeezing must be positive and finite, got {s}")
-    y0 = math.tanh(s) / 2.0
     if cutoff is None:
-        cutoff = default_cutoff(0, y0)
-    n = np.arange(cutoff + 1)
-    logs = (
-        n * math.log(y0)
-        + 0.5 * log_factorials(2 * n)
-        - log_factorials(n)
-        - 0.5 * math.log(math.cosh(s))
-    )
-    vec = FockVector("even", np.exp(logs))
+        cutoff = default_cutoff(0, math.tanh(s) / 2.0)
+    vec = FockVector("even", _smsv_amps(s, cutoff))
     vec.check_tail()
     return vec
 
 
-def herald_amplitude(cfg: HubConfig, outcome: Outcome) -> LogReal:
-    """Signed amplitude attached to one detection record.
+def _smsv_amps(s: float, n_max: int) -> np.ndarray:
+    """The squeezed-vacuum amplitudes c_0..c_n_max on |0>, |2>, ..., |2 n_max>."""
+    n = np.arange(n_max + 1)
+    y0 = math.tanh(s) / 2.0
+    log_c = n * math.log(y0) + 0.5 * log_factorials(2 * n) - log_factorials(n)
+    return np.exp(log_c - 0.5 * math.log(math.cosh(s)))
 
-    Magnitude: prod_l ((1-t_l^2)/t_l^2)^(n_l/2) y_l^(n_l/2) / sqrt(n_l!)
-    times sqrt of the N-th generating-function derivative at y_k.  The sign
-    (-1)^N tracks the phase picked up by reflecting N photons.
-
-    The squared magnitude divided by cosh(s) is the probability of the
-    detection record.
-    """
-    if outcome.k != cfg.k:
-        raise DomainError(f"outcome has {outcome.k} counts for {cfg.k} splitters")
-    ys = cfg.y_chain
-    acc = LogReal.one()
-    for t, y_l, n_l in zip(cfg.transmittances, ys, outcome.counts):
-        if n_l == 0:
-            continue
-        r_sq = 1.0 - t * t
-        if r_sq == 0.0:
-            return LogReal.zero()  # nothing reflects off a transparent splitter
-        log_mag = 0.5 * n_l * (math.log(r_sq) - 2.0 * math.log(t) + math.log(y_l)) - 0.5 * math.lgamma(n_l + 1)
-        acc = acc * LogReal(1, log_mag)
-    z = genfunc_derivative(outcome.total, cfg.y_out)
-    amp = acc * z.sqrt()
-    sign = -1 if outcome.total % 2 else 1
-    return LogReal(sign * amp.sign, amp.log_mag) if amp.sign != 0 else amp

@@ -2,8 +2,10 @@
 
 Success probabilities and heralded amplitudes in this package are products
 of factorial ratios and high powers that overflow float64 long before the
-final, perfectly ordinary result is assembled.  All such quantities are
-therefore carried as (sign, log magnitude) pairs and exponentiated last.
+final, perfectly ordinary result is assembled.  Inner loops keep such
+quantities as float arrays of logs; a LogReal, a (sign, log magnitude)
+pair, carries a result across a function boundary and is exponentiated
+last.
 """
 
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogReal", "log_factorial", "log_factorials", "log_binomial", "logreal_sum"]
+__all__ = ["LogReal", "log_factorials", "log_binomial", "logreal_sum", "logreal_sum_logs"]
 
 
 @dataclass(frozen=True)
@@ -105,27 +107,6 @@ class LogReal:
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self + (-other)
 
-    def __pow__(self, p: float) -> "LogReal":
-        if self.sign == 0:
-            if p <= 0:
-                raise ValueError("0 cannot be raised to a non-positive power")
-            return LogReal(0, 0.0)
-        if self.sign < 0:
-            if float(p).is_integer():
-                sign = -1 if int(p) % 2 else 1
-            else:
-                raise ValueError("negative LogReal raised to non-integer power")
-        else:
-            sign = 1
-        return LogReal(sign, self.log_mag * p)
-
-    def sqrt(self) -> "LogReal":
-        if self.sign < 0:
-            raise ValueError("sqrt of negative LogReal")
-        if self.sign == 0:
-            return LogReal(0, 0.0)
-        return LogReal(1, 0.5 * self.log_mag)
-
     def __repr__(self):
         if self.sign == 0:
             return "LogReal(0)"
@@ -138,16 +119,6 @@ def _coerce(x) -> LogReal:
     if isinstance(x, (int, float)):
         return LogReal.from_float(float(x))
     raise TypeError(f"cannot mix LogReal with {type(x).__name__}")
-
-
-def log_factorial(n: int) -> LogReal:
-    """ln(n!) as a LogReal with positive sign.
-
-    Uses lgamma, which is accurate to a few ulp of the log value itself.
-    """
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return LogReal(1, math.lgamma(n + 1))
 
 
 # ln(k!) for k = 0..len-1; a memo of math.lgamma values, grown on demand.
@@ -194,3 +165,16 @@ def logreal_sum(terms) -> LogReal:
     if acc == 0.0:
         return LogReal(0, 0.0)
     return LogReal(1 if acc > 0 else -1, top + math.log(abs(acc)))
+
+
+def logreal_sum_logs(logs) -> LogReal:
+    """Sum of the positive terms exp(logs), given as a float array of logs.
+
+    One max-shifted log-sum-exp, so terms that would overflow or underflow
+    float64 one by one still add up; an empty or all -inf array sums to 0.
+    """
+    logs = np.asarray(logs, dtype=np.float64)
+    top = logs.max(initial=-math.inf)
+    if top == -math.inf:
+        return LogReal(0, 0.0)
+    return LogReal(1, float(top + np.log(np.exp(logs - top).sum())))

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the analytic machinery: the
 splitter acts as an explicit unitary on truncated photon-number amplitudes,
 ancillas are projected one at a time, and lossy detection enumerates true
 counts against binomial retention weights.  Agreement with the closed-form
-states and probabilities is the package's primary self-check.
+states and probabilities is the package's primary self-check.  It shares
+only inputs with them: the squeezed-vacuum source and the binomial weight.
 """
 
 import itertools
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _branch_weight_log
+from .detector import _branch_weight_log, _check_eta
 from .errors import DomainError
 from .fock import FockVector
-from .hub import HubConfig, Outcome, heralded_amps
-from .logreal import LogReal, log_factorials, logreal_sum
+from .hub import HubConfig, Outcome, _smsv_amps, heralded_amps
+from .logreal import LogReal, logreal_sum, logreal_sum_logs
 
 _LOSSY_LEVEL_EPS = 1e-16
 _LOSSY_LEVEL_CAP = 400
@@ -114,19 +115,8 @@ def apply_splitter(state: TwoModeState, t: float) -> TwoModeState:
 
 def _smsv_true_basis(s: float, span: int) -> np.ndarray:
     """SMSV amplitudes over true photon numbers 0..span."""
-    y0 = math.tanh(s) / 2.0
     amps = np.zeros(span + 1)
-    n = np.arange(span // 2 + 1)
-    logs = (
-        n * math.log(y0)
-        + 0.5 * log_factorials(2 * n)
-        - log_factorials(n)
-        - 0.5 * math.log(math.cosh(s))
-    ) if y0 > 0.0 else None
-    if logs is None:
-        amps[0] = 1.0
-        return amps
-    amps[0 : 2 * len(n) : 2] = np.exp(logs)
+    amps[::2] = _smsv_amps(s, span // 2)
     return amps
 
 
@@ -192,26 +182,23 @@ def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 
     where branches is a list of (weight, FockVector) and total is the lossy
     heralding probability as LogReal.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"detector efficiency must lie in (0, 1], got {eta}")
+    _check_eta(eta)
+    reported_counts = np.array(reported.counts)
     branches = []
-    masses = []
+    log_masses = []
     best_level = -math.inf
     for level in range(_LOSSY_LEVEL_CAP + 1):
         level_mass = 0.0
         for extra in _compositions(level, reported.k):
-            true_counts = tuple(n + x for n, x in zip(reported.counts, extra))
-            state, prob = simulate_hub(cfg, Outcome(true_counts), cutoff)
+            true_counts = reported_counts + extra
+            state, prob = simulate_hub(cfg, Outcome(tuple(true_counts)), cutoff)
             if state is None:
                 continue
-            log_w = sum(
-                _branch_weight_log(n, j, eta)
-                for n, j in zip(reported.counts, true_counts)
-            )
-            mass = LogReal(1, log_w) * prob
-            branches.append((mass.to_float(), state))
-            masses.append(mass)
-            level_mass += mass.to_float()
+            log_w = float(_branch_weight_log(reported_counts, true_counts, eta).sum())
+            log_masses.append(log_w + prob.log_mag)
+            mass = math.exp(log_masses[-1])
+            branches.append((mass, state))
+            level_mass += mass
         if eta == 1.0:
             break
         if level_mass > 0.0:
@@ -220,7 +207,7 @@ def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 
                 break
         elif best_level > -math.inf:
             break
-    return branches, logreal_sum(masses)
+    return branches, logreal_sum_logs(log_masses)
 
 
 def _compositions(total: int, parts: int):

@@ -191,6 +191,31 @@ def test_detector_report_summary_keeps_zero_exact_multiplier(tmp_path, capsys, m
     assert float(rows[0][6]) == 0.0
 
 
+def test_detector_report_transparent_tap_leaves_exact_empty(tmp_path):
+    out = tmp_path / "d.csv"
+    code = main(["detector-report", "--k", "1", "--t", "1.0", "--out", str(out)])
+    assert code == 0
+    _, rows = _rows(out)
+    assert float(rows[0][4]) == 0.0  # reduction factor
+    assert rows[0][6] == ""  # no exact multiplier without a reachable count
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--k", "0"],
+        ["oracle-check", "--N", "-1"],
+        ["oracle-check", "--cutoff", "-1"],
+        ["oracle-check", "--cutoff", "0"],
+        ["detector-report", "--mean-n", "-5"],
+    ],
+)
+def test_out_of_range_bounds_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("N = 20\nbeta = 3 # with a comment\n", encoding="utf-8")

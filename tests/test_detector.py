@@ -190,6 +190,15 @@ def test_single_splitter_required_for_exact_paths():
         lossy_fidelity_exact(cfg, 4, 0.9, 2.0)
 
 
+def test_lossy_fidelity_exact_needs_reachable_count():
+    # nothing reflects off a transparent splitter, so a nonzero count has
+    # no probability to condition on
+    cfg = HubConfig(0.8, (1.0,))
+    with pytest.raises(DomainError):
+        lossy_fidelity_exact(cfg, 4, 0.9, 2.0)
+    assert lossy_prob(cfg, 2, "even", 0.9).is_zero()
+
+
 def test_eta_validation():
     cfg = HubConfig(0.8, (0.9,))
     with pytest.raises(DomainError):

@@ -10,8 +10,8 @@ from cathub.fock import genfunc_derivative, inner_product
 from cathub.hub import (
     HubConfig,
     Outcome,
+    chain_transmission,
     default_cutoff,
-    herald_amplitude,
     heralded_amps,
     heralded_state,
     squeezed_vacuum,
@@ -130,32 +130,29 @@ def test_default_cutoff_monotone_in_m():
 
 
 def test_herald_amplitude_vacuum_outcome():
-    cfg = HubConfig(0.8, (0.9, 0.9))
-    amp = herald_amplitude(cfg, Outcome((0, 0)))
-    want = (1.0 - 4.0 * cfg.y_out**2) ** -0.25
-    assert amp.to_float() == pytest.approx(want, rel=1e-12)
-
-
-def test_herald_amplitude_sign_tracks_total():
-    cfg = HubConfig(0.8, (0.9,))
-    assert herald_amplitude(cfg, Outcome((1,))).sign == -1
-    assert herald_amplitude(cfg, Outcome((2,))).sign == 1
-
-
-def test_herald_amplitude_squared_is_joint_probability():
+    # the vacuum herald amplitude is (1-4 y_out^2)^(-1/4); its square over
+    # cosh s is the probability that no tap clicks
     from cathub.probabilities import joint_success_prob
 
-    cfg = HubConfig(0.9, (0.85, 0.92))
-    for counts in ((0, 0), (1, 2), (4, 0), (3, 3)):
-        amp = herald_amplitude(cfg, Outcome(counts))
-        prob = (amp * amp / math.cosh(cfg.squeezing)).to_float()
-        want = joint_success_prob(cfg, Outcome(counts)).to_float()
-        assert prob == pytest.approx(want, rel=1e-12)
+    cfg = HubConfig(0.8, (0.9, 0.9))
+    prob = joint_success_prob(cfg, Outcome((0, 0))).to_float()
+    want = (1.0 - 4.0 * cfg.y_out**2) ** -0.5 / math.cosh(cfg.squeezing)
+    assert prob == pytest.approx(want, rel=1e-12)
 
 
 def test_transparent_chain_keeps_source_parameter():
     cfg = HubConfig(0.8, (1.0, 1.0))
     assert cfg.y_out == pytest.approx(cfg.y0)
+
+
+def test_chain_transmission_links_source_and_herald_point():
+    ts = (0.9, 0.95, 0.8)
+    assert chain_transmission(ts) == pytest.approx(0.81 * 0.9025 * 0.64, rel=1e-15)
+    assert HubConfig(0.8, ts).y_out == pytest.approx(chain_transmission(ts) * math.tanh(0.8) / 2.0, rel=1e-14)
+    cfg = HubConfig.from_target_y(0.2, ts)
+    assert cfg.y_out == pytest.approx(0.2, rel=1e-14)
+    with pytest.raises(DomainError):
+        HubConfig.from_target_y(0.5 * chain_transmission(ts), ts)  # needs tanh(s) = 1
 
 
 def test_heralded_state_rejects_bad_inputs():

@@ -18,3 +18,11 @@ def test_import_leaves_scipy_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition was deleted fails here
+    modules = [cathub] + [m for m in vars(cathub).values() if hasattr(m, "__all__") and m is not cathub]
+    missing = [(m.__name__, name) for m in modules for name in m.__all__ if not hasattr(m, name)]
+    assert missing == []
+    assert len(set(cathub.__all__)) == len(cathub.__all__)

@@ -1,10 +1,13 @@
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cathub.logreal import LogReal, log_binomial, log_factorial, logreal_sum
+from cathub import logreal
+from cathub.logreal import LogReal, log_binomial, log_factorials, logreal_sum, logreal_sum_logs
 
 REL = 1e-12
 
@@ -74,26 +77,28 @@ def test_overflowing_magnitude_becomes_inf():
     assert big.log10() == pytest.approx(1e6 / math.log(10.0), rel=1e-15)
 
 
-def test_pow_and_sqrt():
-    two = LogReal.from_float(2.0)
-    assert (two**10).to_float() == pytest.approx(1024.0, rel=REL)
-    assert ((-two) ** 3).to_float() == pytest.approx(-8.0, rel=REL)
-    assert LogReal.from_float(9.0).sqrt().to_float() == pytest.approx(3.0, rel=REL)
-    with pytest.raises(ValueError):
-        LogReal.from_float(-1.0).sqrt()
+def _check_log_factorials(ns):
+    # against exact integer factorials
+    got = log_factorials(np.array(ns))
+    for n, value in zip(ns, got):
+        want = math.log(math.factorial(n)) if n > 1 else 0.0
+        assert abs(value - want) <= 1e-13 * max(1.0, want)
 
 
 def test_log_factorial_small_values_exact():
-    # against exact integer factorials
-    for n in range(0, 51):
-        want = math.log(math.factorial(n)) if n > 1 else 0.0
-        assert abs(log_factorial(n).log_mag - want) <= 1e-13 * max(1.0, want)
+    _check_log_factorials(list(range(0, 51)))
+    # an argument past the memo table makes it grow; old entries stay put
+    size = len(logreal._LOG_FACTORIALS)
+    before = log_factorials(np.arange(size))
+    _check_log_factorials([size, size + 7, 3 * size])
+    assert len(logreal._LOG_FACTORIALS) > 3 * size
+    assert np.array_equal(log_factorials(np.arange(size)), before)
 
 
 def test_log_factorial_ratio_identity():
-    for n in (1, 2, 5, 17, 120, 900):
-        ratio = (log_factorial(n) / log_factorial(n - 1)).to_float()
-        assert ratio == pytest.approx(float(n), rel=1e-12)
+    ns = np.array([1, 2, 5, 17, 120, 900])
+    ratio = np.exp(log_factorials(ns) - log_factorials(ns - 1))
+    np.testing.assert_allclose(ratio, ns, rtol=1e-12)
 
 
 def test_log_binomial():
@@ -114,10 +119,29 @@ def test_logreal_sum_cancellation():
     assert s.is_zero() or abs(s.to_float()) < 1e-15
 
 
+@example(values=[1.0, -13733.0, 13732.00390625])
 @given(st.lists(nonzero, min_size=1, max_size=30))
 def test_logreal_sum_matches_fsum(values):
+    # Forward-error bound of the representation, with M = max |ln|v|| and
+    # eps the float64 machine epsilon.  Storing ln|v| costs up to eps M in
+    # the log; shifting it by the largest log (a gap of at most 2M) and
+    # exponentiating adds up to eps (M + 1).  Each term thus carries a
+    # relative error of at most eps (2M + 1), or eps (2M + 1) sum|v| in
+    # all; the running sum of n terms adds (n - 1) eps sum|v|, and taking
+    # the log of the total and exponentiating it back adds eps sum|v|.
+    # Cancellation magnifies all of it relative to the result, so the bound
+    # is absolute, on the scale of sum|v|.
     exact = math.fsum(values)
-    if abs(exact) < 1e-9 * sum(abs(v) for v in values):
-        return
     got = logreal_sum([LogReal.from_float(v) for v in values]).to_float()
-    assert got == pytest.approx(exact, rel=1e-9)
+    top = max(abs(math.log(abs(v))) for v in values)
+    bound = (len(values) + 2 * (1 + top)) * sys.float_info.epsilon * sum(abs(v) for v in values)
+    assert abs(got - exact) <= bound
+
+
+def test_logreal_sum_logs_matches_fsum():
+    logs = np.array([-800.0, -801.5, -799.25])  # each term underflows on its own
+    got = logreal_sum_logs(logs)
+    want = math.log(math.fsum(math.exp(x + 800.0) for x in logs)) - 800.0
+    assert got.sign == 1 and got.log_mag == pytest.approx(want, abs=1e-13)
+    assert logreal_sum_logs([]).is_zero()
+    assert logreal_sum_logs([-math.inf, -math.inf]).is_zero()

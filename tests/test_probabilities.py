@@ -96,7 +96,7 @@ def test_two_tap_closed_form():
     y2 = cfg.y_out
     y0 = cfg.y0
     eps = (1.0 - t * t) / (t * t)
-    for n1, n2 in ((2, 4), (0, 6), (4, 4), (10, 10)):
+    for n1, n2 in ((0, 0), (2, 4), (0, 6), (4, 4), (10, 10)):
         big_n = n1 + n2
         closed = (
             math.sqrt(1.0 - 4.0 * y0 * y0)
@@ -111,6 +111,9 @@ def test_two_tap_closed_form():
         )
         got = joint_success_prob(cfg, Outcome((n1, n2))).to_float()
         assert got == pytest.approx(closed, rel=1e-12)
+    # the vacuum record: g(y2) = (1 - 4 y2^2)^(-1/2) over the source's cosh s
+    vacuum = joint_success_prob(cfg, Outcome((0, 0))).to_float()
+    assert vacuum == pytest.approx((1.0 - 4.0 * y2 * y2) ** -0.5 / math.cosh(s), rel=1e-12)
 
 
 def test_conditional_normalisation():
