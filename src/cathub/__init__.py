@@ -31,7 +31,7 @@ from .hub import (
     heralded_state,
     squeezed_vacuum,
 )
-from .logreal import LogReal, log_binomial, logreal_sum, logreal_sum_logs
+from .logreal import LogReal, logreal_sum, logreal_sum_logs
 from .oracle import (
     EquivalenceReport,
     TwoModeState,
@@ -77,7 +77,6 @@ __all__ = [
     "heralded_state",
     "inner_product",
     "joint_success_prob",
-    "log_binomial",
     "logreal_sum",
     "logreal_sum_logs",
     "lossy_fidelity_exact",

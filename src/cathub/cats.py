@@ -28,8 +28,15 @@ _BRACKET_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+# largest default cat window: keeps optimal_y's scan matrix near 32 MB (beta ~ 175)
+_CAT_WINDOW_CAP = 2**14
+
+
 def _cat_cutoff(beta: float) -> int:
-    return max(int(math.ceil((beta * beta + 12.0 * beta + 30.0) / 2.0)), 16)
+    window = (beta * beta + 12.0 * beta + 30.0) / 2.0
+    if window > _CAT_WINDOW_CAP:
+        raise DomainError(f"beta = {beta} needs a cat window of {window:.4g} > {_CAT_WINDOW_CAP}")
+    return max(int(math.ceil(window)), 16)
 
 
 def cat_state(beta: float, parity: str, cutoff: int | None = None) -> FockVector:

@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cats import mean_photon, optimal_y
 from .detector import _first_order, lossy_fidelity_exact, reduction_factor
@@ -28,9 +27,23 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # route argparse failures through our exit-code convention
+    # route argparse failures through our exit-code convention; a type that
+    # raises _UsageError itself passes through argparse untouched
     def error(self, message):
         raise _UsageError(message)
+
+
+def _bounded(kind, low, high=math.inf):
+    """argparse type: parse the flag with kind and require low <= value <= high."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:  # written this way round so nan fails too
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_floats(text: str) -> list:
@@ -110,19 +123,11 @@ def _map_tasks(func, tasks, workers: int) -> list:
     # pool.map keeps submission order, so grid order survives parallelism
     if workers <= 1:
         return [func(task) for task in tasks]
+    # imported here so that runs starting no pool never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, tasks))
-
-
-def _check_min(flag: str, value, low) -> None:
-    if not value >= low:
-        raise _UsageError(f"{flag} must be >= {low}, got {value}")
-
-
-def _check_common(args) -> None:
-    _check_min("--workers", args.workers, 1)
-    if not 1 <= args.precision <= 17:
-        raise _UsageError(f"--precision must be in [1, 17], got {args.precision}")
 
 
 def _check_count(n: int, parity: str) -> None:
@@ -153,12 +158,9 @@ def _meanphoton_row(task):
 
 def cmd_optimum_sweep(args) -> int:
     """fidelity-sweep and meanphoton-sweep: one row per (N, beta) at optimal y."""
-    _check_common(args)
-    ns = _parse_ints(args.N)
-    betas = _parse_floats(args.beta)
-    for n in ns:
+    for n in args.N:
         _check_count(n, args.parity)
-    tasks = [(args.parity, n, beta) for n in ns for beta in betas]
+    tasks = [(args.parity, n, beta) for n in args.N for beta in args.beta]
     rows = _map_tasks(args.row, tasks, args.workers)
     _write_csv(args.out, args.header, rows, args.precision)
     return 0
@@ -181,11 +183,7 @@ def _prob_row(task):
 
 
 def cmd_prob_sweep(args) -> int:
-    _check_common(args)
-    ts = _parse_transmittances(args.t)
-    betas = _parse_floats(args.beta)
-    counts = _parse_counts(args.counts)
-    tasks = [(t, beta, c) for t in ts for beta in betas for c in counts]
+    tasks = [(t, beta, c) for t in args.t for beta in args.beta for c in args.counts]
     rows = _map_tasks(_prob_row, tasks, args.workers)
     header = ("t", "beta", "n1", "n2", "y2", "s_backsolved", "probability")
     _write_csv(args.out, header, rows, args.precision)
@@ -193,21 +191,18 @@ def cmd_prob_sweep(args) -> int:
 
 
 def cmd_detector_report(args) -> int:
-    _check_common(args)
-    ts = _parse_transmittances(args.t)
-    ks = _parse_ints(args.k)
-    for k in ks:
-        _check_min("splitter count --k", k, 1)
+    for k in args.k:
+        if k < 1:
+            raise _UsageError(f"splitter count --k must be >= 1, got {k}")
     if not 0.0 < args.eta <= 1.0:
         raise _UsageError(f"--eta must lie in (0, 1], got {args.eta}")
-    _check_min("--mean-n", args.mean_n, 0.0)
     _check_count(args.N, "even")
 
     ref = optimal_y("even", args.N, args.beta)
     rows = []
     summary = []
-    for k in ks:
-        for t in ts:
+    for k in args.k:
+        for t in args.t:
             rf = reduction_factor(chain_transmission((t,) * k), args.mean_n)
             first = _first_order(args.eta, rf)
             mult_exact = None
@@ -234,20 +229,11 @@ def cmd_detector_report(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _check_common(args)
-    _check_min("--k", args.k, 1)
-    _check_min("--N", args.N, 0)
-    _check_min("--cutoff", args.cutoff, 1)
     from .oracle import equivalence_grid
 
-    ts = tuple(_parse_floats(args.t))
-    ss = tuple(_parse_floats(args.s))
     report = equivalence_grid(
-        k_max=args.k,
-        total_max=args.N,
-        transmittances=ts,
-        squeezings=ss,
-        cutoff=args.cutoff,
+        k_max=args.k, total_max=args.N, cutoff=args.cutoff,
+        transmittances=tuple(args.t), squeezings=tuple(args.s),
     )
     lines = [
         f"cases checked: {report.cases}",
@@ -266,12 +252,10 @@ def cmd_oracle_check(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
+    sub.add_argument("--config", default=None, help="key=value defaults file; flags override")
+    sub.add_argument("--workers", type=_bounded(int, 1), default=1, help="parallel workers")
     sub.add_argument(
-        "--config", default=None, help="key=value defaults file; flags override"
-    )
-    sub.add_argument("--workers", type=int, default=1, help="parallel workers")
-    sub.add_argument(
-        "--precision", type=int, default=12, help="significant digits in output"
+        "--precision", type=_bounded(int, 1, 17), default=12, help="significant digits in output"
     )
 
 
@@ -292,42 +276,44 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--parity", choices=("even", "odd"), default="even")
-        p.add_argument("--N", default=n_default, help="comma list of detected counts")
-        p.add_argument("--beta", default="0.5:6:0.25", help="target amplitude grid")
+        p.add_argument("--N", type=_parse_ints, default=n_default, help="comma list of detected counts")
+        p.add_argument("--beta", type=_parse_floats, default="0.5:6:0.25", help="target amplitude grid")
         _add_common(p)
         p.set_defaults(
             func=cmd_optimum_sweep, row=row, header=("parity", "N", "beta", "y_star") + last
         )
 
     p = sub.add_parser("prob-sweep", help="heralding probability at optimal y")
-    p.add_argument("--t", default="0.8", help="comma list of tap transmittances")
-    p.add_argument("--beta", default="2:3:0.1", help="target amplitude grid")
+    p.add_argument(
+        "--t", type=_parse_transmittances, default="0.8", help="comma list of tap transmittances"
+    )
+    p.add_argument("--beta", type=_parse_floats, default="2:3:0.1", help="target amplitude grid")
     p.add_argument(
         "--counts",
+        type=_parse_counts,
         default="10,10",
         help="';'-separated patterns, each 'n1,n2' or a single 'n'",
     )
     _add_common(p)
     p.set_defaults(func=cmd_prob_sweep)
 
-    p = sub.add_parser(
-        "detector-report", help="loss factors and fidelity multipliers"
-    )
-    p.add_argument("--t", default="0.9,0.95,0.98", help="tap transmittances")
-    p.add_argument("--k", default="1,2", help="comma list of chain lengths")
+    p = sub.add_parser("detector-report", help="loss factors and fidelity multipliers")
+    p.add_argument("--t", type=_parse_transmittances, default="0.9,0.95,0.98", help="tap transmittances")
+    p.add_argument("--k", type=_parse_ints, default="1,2", help="comma list of chain lengths")
     p.add_argument("--eta", type=float, default=0.98, help="detector efficiency")
-    p.add_argument("--mean-n", type=float, default=35.0, help="pinned mean photons")
+    p.add_argument("--mean-n", type=_bounded(float, 0.0), default=35.0, help="pinned mean photons")
     p.add_argument("--N", type=int, default=90, help="reference detected count")
     p.add_argument("--beta", type=float, default=6.0, help="reference amplitude")
     _add_common(p)
     p.set_defaults(func=cmd_detector_report)
 
     p = sub.add_parser("oracle-check", help="brute-force equivalence certificate")
-    p.add_argument("--k", type=int, default=3, help="max chain length")
-    p.add_argument("--N", type=int, default=6, help="max total detected count")
-    p.add_argument("--t", default="0.7,0.8,0.9", help="tap transmittance set")
-    p.add_argument("--s", default="0.5,1.0", help="squeezing set")
-    p.add_argument("--cutoff", type=int, default=40, help="stored state cutoff")
+    p.add_argument("--k", type=_bounded(int, 1), default=3, help="max chain length")
+    p.add_argument("--N", type=_bounded(int, 0), default=6, help="max total detected count")
+    # out-of-range --t and --s are the library's DomainError (exit 2), not usage errors
+    p.add_argument("--t", type=_parse_floats, default="0.7,0.8,0.9", help="tap transmittance set")
+    p.add_argument("--s", type=_parse_floats, default="0.5,1.0", help="squeezing set")
+    p.add_argument("--cutoff", type=_bounded(int, 1), default=40, help="stored state cutoff")
     p.add_argument("--tolerance", type=float, default=1e-9)
     _add_common(p)
     p.set_defaults(func=cmd_oracle_check)
@@ -354,28 +340,16 @@ def _config_tokens(path: str) -> list:
     return toks
 
 
-def _splice_config(argv: list) -> list:
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config needs a path")
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None or not argv:
-        return argv
-    # insert file-derived flags right after the subcommand so that flags
-    # given on the command line, which come later, win
-    return argv[:1] + _config_tokens(path) + argv[1:]
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _splice_config(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # file-derived flags go right after the subcommand, so flags given
+            # on the command line, which come later, win; every value in the
+            # file is still parsed and bounded
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return args.func(args)
     except _UsageError as exc:
         print(f"cathub: usage error: {exc}", file=sys.stderr)

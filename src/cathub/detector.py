@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cats import _cat_overlap, cat_state, mean_photon
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .fock import FockVector, inner_product, parity_of, photon_offset
 from .hub import HubConfig, Outcome, chain_transmission
 from .logreal import LogReal, log_factorials, logreal_sum_logs
@@ -104,10 +104,11 @@ def _reported_count(m: int, parity: str) -> int:
 def _loss_branches(cfg: HubConfig, reported: int, eta: float):
     """(true counts j, ln branch masses) as arrays, mass = weight * ideal prob.
 
-    Walks j = reported, reported + 1, ... and keeps the branches with
-    nonzero ideal probability.  Stops once the mass has fallen below
-    _BRANCH_EPS of the largest mass seen, sustained over _BRANCH_RUN
-    consecutive branches; a lossless detector has the one branch j = reported.
+    Walks j = reported, reported + 1, ... and stops once the mass has fallen
+    below _BRANCH_EPS of the largest mass seen, sustained over _BRANCH_RUN
+    consecutive branches, or at the first j with zero ideal probability; a
+    lossless detector has the one branch j = reported.  Raises
+    TruncationError when _BRANCH_CAP branches pass without a stop.
     """
     stop = reported + (1 if eta == 1.0 else _BRANCH_CAP + 1)
     log_weights = _branch_weight_log(reported, np.arange(reported, stop), eta)
@@ -118,7 +119,7 @@ def _loss_branches(cfg: HubConfig, reported: int, eta: float):
     for true_count, log_w in zip(range(reported, stop), log_weights):
         p = joint_success_prob(cfg, Outcome((true_count,)))
         if p.is_zero():
-            continue
+            break  # on one tap only t = 1 gives a zero, and then for every larger j too
         log_mass = log_w + p.log_mag
         counts.append(true_count)
         log_masses.append(log_mass)
@@ -126,6 +127,9 @@ def _loss_branches(cfg: HubConfig, reported: int, eta: float):
         low = low + 1 if log_mass < best + math.log(_BRANCH_EPS) else 0
         if low >= _BRANCH_RUN:
             break
+    else:
+        if eta < 1.0:
+            raise TruncationError(f"loss-branch walk hit its cap of {_BRANCH_CAP} at j = {true_count}")
     return np.array(counts, dtype=np.intp), np.array(log_masses)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogReal", "log_factorials", "log_binomial", "logreal_sum", "logreal_sum_logs"]
+__all__ = ["LogReal", "log_factorials", "logreal_sum", "logreal_sum_logs"]
 
 
 @dataclass(frozen=True)
@@ -83,30 +83,6 @@ class LogReal:
             return LogReal(0, 0.0)
         return LogReal(self.sign * other.sign, self.log_mag - other.log_mag)
 
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "LogReal":
-        return LogReal(abs(self.sign), self.log_mag)
-
-    def __add__(self, other) -> "LogReal":
-        other = _coerce(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            big, small = (self, other) if self.log_mag >= other.log_mag else (other, self)
-            return LogReal(self.sign, big.log_mag + math.log1p(math.exp(small.log_mag - big.log_mag)))
-        # opposite signs: subtract magnitudes
-        if self.log_mag == other.log_mag:
-            return LogReal(0, 0.0)
-        big, small = (self, other) if self.log_mag > other.log_mag else (other, self)
-        return LogReal(big.sign, big.log_mag + math.log1p(-math.exp(small.log_mag - big.log_mag)))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
-
     def __repr__(self):
         if self.sign == 0:
             return "LogReal(0)"
@@ -140,13 +116,6 @@ def log_factorials(n) -> np.ndarray:
         size = max(top + 1, 2 * len(_LOG_FACTORIALS))
         _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(size)])
     return _LOG_FACTORIALS[n]
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); -inf when k is outside [0, n]."""
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def logreal_sum(terms) -> LogReal:

@@ -264,21 +264,27 @@ def equivalence_grid(
                     for counts in _compositions(total, k):
                         outcome = Outcome(counts)
                         state, prob = simulate_hub(cfg, outcome, cutoff)
-                        # compare on the window the oracle stores: the
-                        # analytic amplitudes are exact coefficients, so
-                        # renormalizing over the window matches the
-                        # truncated-and-renormalized brute-force state
-                        ref = heralded_amps(
-                            outcome.parity, outcome.pairs, cfg.y_out, state.cutoff
-                        )
-                        ref = ref / math.sqrt(float(np.dot(ref, ref)))
-                        ov = float(np.dot(state.amps, ref))
-                        deficit = abs(1.0 - ov * ov)
                         p_ref = joint_success_prob(cfg, outcome)
-                        rel = abs((prob / p_ref).to_float() - 1.0)
                         cases += 1
-                        if deficit > worst_f:
-                            worst_f, worst_f_case = deficit, (s, ts, counts)
+                        if state is not None:
+                            # compare on the window the oracle stores: the
+                            # analytic amplitudes are exact coefficients, so
+                            # renormalizing over the window matches the
+                            # truncated-and-renormalized brute-force state
+                            ref = heralded_amps(
+                                outcome.parity, outcome.pairs, cfg.y_out, state.cutoff
+                            )
+                            ref = ref / math.sqrt(float(np.dot(ref, ref)))
+                            ov = float(np.dot(state.amps, ref))
+                            deficit = abs(1.0 - ov * ov)
+                            if deficit > worst_f:
+                                worst_f, worst_f_case = deficit, (s, ts, counts)
+                        # at t = 1 nothing reflects and both routes give 0;
+                        # a zero on one route only is the worst mismatch
+                        if prob.is_zero() or p_ref.is_zero():
+                            rel = 0.0 if prob.is_zero() and p_ref.is_zero() else math.inf
+                        else:
+                            rel = abs((prob / p_ref).to_float() - 1.0)
                         if rel > worst_p:
                             worst_p, worst_p_case = rel, (s, ts, counts)
     return EquivalenceReport(cases, worst_f, worst_f_case, worst_p, worst_p_case)

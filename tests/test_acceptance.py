@@ -24,7 +24,6 @@ from cathub.detector import (
     tradeoff_product,
 )
 from cathub.hub import HubConfig, Outcome, heralded_state
-from cathub.logreal import log_binomial
 from cathub.oracle import equivalence_grid
 from cathub.probabilities import (
     demux_ratio,

@@ -26,6 +26,15 @@ def test_even_cat_zero_amplitude_is_vacuum():
     assert float(abs(v.amps[1:]).max() if v.cutoff > 0 else 0.0) == 0.0
 
 
+def test_cat_window_is_capped():
+    # (beta^2 + 12 beta + 30) / 2 entries: 21,215 at beta = 200, past the cap
+    with pytest.raises(DomainError):
+        cat_state(200.0, "even")
+    with pytest.raises(DomainError):
+        cat_state(1e308, "odd")
+    assert cat_state(175.0, "even").cutoff == 16378
+
+
 def test_odd_cat_needs_positive_amplitude():
     with pytest.raises(DomainError):
         cat_state(0.0, "odd")

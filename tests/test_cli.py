@@ -54,6 +54,12 @@ def test_domain_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_huge_beta_is_domain_error(capsys):
+    # the cat window would overflow an int, or ask numpy for gigabytes
+    assert main(["fidelity-sweep", "--N", "10", "--beta", "1e308"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["not-a-command"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -208,10 +214,19 @@ def test_detector_report_transparent_tap_leaves_exact_empty(tmp_path):
         ["oracle-check", "--cutoff", "-1"],
         ["oracle-check", "--cutoff", "0"],
         ["detector-report", "--mean-n", "-5"],
+        ["detector-report", "--mean-n", "nan"],
+        ["fidelity-sweep", "--workers", "0"],
+        ["fidelity-sweep", "--precision", "18"],
+        ["prob-sweep", "--t", "1.5"],
+        ["fidelity-sweep", "--config", "CFG"],
+        # a bad file value is caught even where a flag overrides it
+        ["fidelity-sweep", "--config", "CFG", "--workers", "1"],
     ],
 )
-def test_out_of_range_bounds_are_usage_errors(argv, capsys):
-    assert main(argv) == 1
+def test_out_of_range_bounds_are_usage_errors(argv, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("workers = 0\n", encoding="utf-8")
+    assert main([str(cfg) if arg == "CFG" else arg for arg in argv]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
 
@@ -243,6 +258,14 @@ def test_oracle_check_minimal_pass(capsys):
     code = main(["oracle-check", "--k", "1", "--N", "2", "--t", "0.9", "--s", "0.8"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_oracle_check_transparent_tap(capsys):
+    # nothing reflects at t = 1: both routes give nonzero counts probability 0
+    code = main(["oracle-check", "--k", "1", "--N", "2", "--t", "1.0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "cases checked: 6" in out and "result: PASS" in out
 
 
 def test_oracle_check_impossible_tolerance(capsys):

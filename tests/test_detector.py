@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cathub import detector
 from cathub.cats import optimal_y
 from cathub.detector import (
     lossy_fidelity_exact,
@@ -15,7 +16,7 @@ from cathub.detector import (
     reduction_factor,
     tradeoff_product,
 )
-from cathub.errors import DomainError
+from cathub.errors import DomainError, TruncationError
 from cathub.hub import HubConfig, Outcome
 from cathub.probabilities import success_prob_single
 
@@ -197,6 +198,33 @@ def test_lossy_fidelity_exact_needs_reachable_count():
     with pytest.raises(DomainError):
         lossy_fidelity_exact(cfg, 4, 0.9, 2.0)
     assert lossy_prob(cfg, 2, "even", 0.9).is_zero()
+
+
+def test_loss_walk_stops_at_first_zero_on_transparent_tap(monkeypatch):
+    # at t = 1 every count above zero has no probability, so the walk needs
+    # one joint-probability call, not one per branch up to the cap
+    calls = []
+    real = detector.joint_success_prob
+
+    def counted(cfg, outcome):
+        calls.append(outcome.counts)
+        return real(cfg, outcome)
+
+    monkeypatch.setattr(detector, "joint_success_prob", counted)
+    cfg = HubConfig(0.8, (1.0,))
+    assert lossy_prob(cfg, 22, "odd", 0.98).is_zero()
+    assert calls == [(45,)]
+    calls.clear()
+    # count 0 is certain and count 1 already has no probability
+    assert lossy_prob(cfg, 0, "even", 0.98).to_float() == pytest.approx(1.0, rel=1e-12)
+    assert calls == [(0,), (1,)]
+
+
+def test_loss_walk_raises_at_its_cap():
+    # at eta = 0.001 the branch masses peak near j = 1500 and are still
+    # close to that peak at the cap of 2000 branches
+    with pytest.raises(TruncationError):
+        lossy_prob(HubConfig(8.0, (0.9,)), 1, "even", 0.001)
 
 
 def test_eta_validation():

@@ -5,19 +5,28 @@ import sys
 import cathub
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the package must not pull it in
+def _loaded_after(statement: str, module: str) -> bool:
+    """Whether `module` is in sys.modules after running `statement` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cathub.__file__)))
-    code = "import sys, cathub; print('scipy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"import sys; {statement}; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the package must not pull it in
+    assert not _loaded_after("import cathub", "scipy")
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only --workers > 1 starts a pool, so no other run should pay for importing it
+    assert not _loaded_after("import cathub.cli", "concurrent.futures.process")
 
 
 def test_every_export_resolves():

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cathub import logreal
-from cathub.logreal import LogReal, log_binomial, log_factorials, logreal_sum, logreal_sum_logs
+from cathub.logreal import LogReal, log_factorials, logreal_sum, logreal_sum_logs
 
 REL = 1e-12
 
@@ -26,7 +26,6 @@ def test_zero_one_identities():
     assert LogReal.one().to_float() == 1.0
     x = LogReal.from_float(-7.25)
     assert (x * LogReal.one()).to_float() == pytest.approx(-7.25, rel=1e-15)
-    assert (x + LogReal.zero()).to_float() == pytest.approx(-7.25, rel=1e-15)
     assert (x * LogReal.zero()).is_zero()
 
 
@@ -42,29 +41,11 @@ def test_quotient_matches_float(a, b):
     assert got == pytest.approx(a / b, rel=REL)
 
 
-@given(nonzero, nonzero)
-def test_sum_matches_float(a, b):
-    # skip near-complete cancellation, where log arithmetic loses digits too
-    if abs(a + b) < 1e-6 * (abs(a) + abs(b)):
-        return
-    got = (LogReal.from_float(a) + LogReal.from_float(b)).to_float()
-    assert got == pytest.approx(a + b, rel=1e-9)
-
-
-def test_subtraction_and_negation():
-    a = LogReal.from_float(5.0)
-    b = LogReal.from_float(3.0)
-    assert (a - b).to_float() == pytest.approx(2.0, rel=REL)
-    assert (-a).to_float() == pytest.approx(-5.0, rel=REL)
-    assert abs(LogReal.from_float(-4.0)).to_float() == pytest.approx(4.0, rel=REL)
-
-
 def test_scalar_coercion():
     x = LogReal.from_float(3.0)
     assert (x * 2).to_float() == pytest.approx(6.0, rel=REL)
     assert (2 * x).to_float() == pytest.approx(6.0, rel=REL)
     assert (x / 2.0).to_float() == pytest.approx(1.5, rel=REL)
-    assert (x + 1).to_float() == pytest.approx(4.0, rel=REL)
     with pytest.raises(TypeError):
         x * "two"
 
@@ -72,7 +53,7 @@ def test_scalar_coercion():
 def test_overflowing_magnitude_becomes_inf():
     big = LogReal(1, 1e6)
     assert math.isinf(big.to_float())
-    assert (-big).to_float() == -math.inf
+    assert LogReal(-1, 1e6).to_float() == -math.inf
     # but the log-domain representation stays exact
     assert big.log10() == pytest.approx(1e6 / math.log(10.0), rel=1e-15)
 
@@ -101,21 +82,13 @@ def test_log_factorial_ratio_identity():
     np.testing.assert_allclose(ratio, ns, rtol=1e-12)
 
 
-def test_log_binomial():
-    assert math.exp(log_binomial(20, 10)) == pytest.approx(184756.0, rel=1e-12)
-    assert log_binomial(5, 0) == 0.0
-    assert log_binomial(5, 5) == 0.0
-    assert log_binomial(5, 6) == -math.inf
-    assert log_binomial(5, -1) == -math.inf
-
-
 def test_logreal_sum_empty_is_zero():
     assert logreal_sum([]).is_zero()
 
 
 def test_logreal_sum_cancellation():
     x = LogReal.from_float(1.25)
-    s = logreal_sum([x, -x])
+    s = logreal_sum([x, LogReal(-1, x.log_mag)])
     assert s.is_zero() or abs(s.to_float()) < 1e-15
 
 
