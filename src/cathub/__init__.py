@@ -13,7 +13,6 @@ from .detector import (
     TradeoffProduct,
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
-    lossy_fidelity_mixture,
     lossy_prob,
     lossy_prob_firstorder,
     povm_element,
@@ -38,6 +37,7 @@ from .oracle import (
     apply_splitter,
     bs_matrix_element,
     equivalence_grid,
+    lossy_fidelity_mixture,
     simulate_hub,
     simulate_lossy,
 )

@@ -34,16 +34,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bounded(kind, low, high=math.inf):
-    """argparse type: parse the flag with kind and require low <= value <= high."""
+    """argparse type: parse the flag with kind and require a finite low <= value <= high."""
 
     def parse(text: str):
         value = kind(text)
-        if not low <= value <= high:  # written this way round so nan fails too
-            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        # nan fails the comparison; inf passes it when high is inf
+        if not low <= value <= high or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and lie in [{low}, {high}], got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+# most points a start:stop:step range may expand to
+_GRID_CAP = 100_000
 
 
 def _parse_floats(text: str) -> list:
@@ -56,8 +61,10 @@ def _parse_floats(text: str) -> list:
             start, stop, step = (float(p) for p in parts)
             if step <= 0.0 or stop < start:
                 raise _UsageError(f"empty or backwards range: {text!r}")
-            count = int((stop - start) / step + 1e-9)
-            vals = [round(start + i * step, 12) for i in range(count + 1)]
+            span = (stop - start) / step + 1e-9
+            if not span < _GRID_CAP:  # also rejects inf and nan
+                raise _UsageError(f"range {text!r} has more than {_GRID_CAP} points")
+            vals = [round(start + i * step, 12) for i in range(int(span) + 1)]
         else:
             vals = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
@@ -206,13 +213,12 @@ def cmd_detector_report(args) -> int:
             rf = reduction_factor(chain_transmission((t,) * k), args.mean_n)
             first = _first_order(args.eta, rf)
             mult_exact = None
-            if k == 1:
-                try:
-                    cfg = HubConfig.from_target_y(ref.y_star, (t,))
-                    exact = lossy_fidelity_exact(cfg, args.N, args.eta, args.beta)
-                    mult_exact = exact / ref.fidelity
-                except DomainError:
-                    pass  # herald point out of reach, or nothing reflects at t = 1
+            try:
+                cfg = HubConfig.from_target_y(ref.y_star, (t,) * k)
+                exact = lossy_fidelity_exact(cfg, args.N, args.eta, args.beta)
+                mult_exact = exact / ref.fidelity
+            except DomainError:
+                pass  # herald point out of reach, or nothing reflects at t = 1
             rows.append(
                 (k, t, args.eta, args.mean_n, rf, first.multiplier, mult_exact, first.penalty)
             )
@@ -314,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=_parse_floats, default="0.7,0.8,0.9", help="tap transmittance set")
     p.add_argument("--s", type=_parse_floats, default="0.5,1.0", help="squeezing set")
     p.add_argument("--cutoff", type=_bounded(int, 1), default=40, help="stored state cutoff")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_bounded(float, 0.0), default=1e-9)
     _add_common(p)
     p.set_defaults(func=cmd_oracle_check)
 

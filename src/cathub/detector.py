@@ -1,8 +1,17 @@
 """Imperfect photon-number detection.
 
 Binomial-loss POVM elements, the exact lossy fidelity and heralding
-probability for the one-splitter setup, the first/second-order expansions
+probability for a chain of any length, the first/second-order expansions
 in detector inefficiency, and the fidelity-probability trade-off product.
+
+A chain of k splitters with lossy detectors on every tap is exactly its
+one-tap equivalent with t = prod t_i (_one_tap): summed over the splits of
+N photons across the taps, the tap weights a_l = (1 - t_l^2)/t_l^2 y_l give
+A^N/N! with A = sum a_l = (1 - T)/T y_k, the weight of one tap with
+t^2 = T; the per-tap binomial losses sum to one loss on the total; and the
+heralded state depends only on N and y_k.  So lossy_prob is the
+probability that the reported counts sum to the given total, and
+lossy_fidelity_exact the fidelity after any split of it.
 
 A detector of efficiency eta that reports count n may have been hit by any
 true count j >= n, with weight C(j, n) eta^n (1-eta)^(j-n); the conditional
@@ -26,7 +35,7 @@ import numpy as np
 
 from .cats import _cat_overlap, cat_state, mean_photon
 from .errors import DomainError, TruncationError
-from .fock import FockVector, inner_product, parity_of, photon_offset
+from .fock import parity_of, photon_offset
 from .hub import HubConfig, Outcome, chain_transmission
 from .logreal import LogReal, log_factorials, logreal_sum_logs
 from .probabilities import joint_success_prob
@@ -87,12 +96,9 @@ def _branch_weight_log(reported, true_count, eta: float) -> np.ndarray:
     )
 
 
-def _require_single_splitter(cfg: HubConfig) -> None:
-    if cfg.k != 1:
-        raise DomainError(
-            "exact lossy quantities are implemented for one splitter; "
-            "use the brute-force simulator for deeper chains"
-        )
+def _one_tap(cfg: HubConfig) -> HubConfig:
+    """The one-tap hub with t = prod t_i, exact for every total-count quantity."""
+    return HubConfig(cfg.squeezing, (math.prod(cfg.transmittances),))
 
 
 def _reported_count(m: int, parity: str) -> int:
@@ -134,27 +140,30 @@ def _loss_branches(cfg: HubConfig, reported: int, eta: float):
 
 
 def lossy_prob(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
-    """Exact probability that a lossy detector reports 2m or 2m+1 photons.
+    """Exact probability that lossy detectors report 2m or 2m+1 photons.
 
-    Sums the ideal probability of every true count j >= reported against
-    the binomial retention weight; both parities of j contribute.
+    On a chain of k taps this is the probability that the reported counts
+    sum to 2m (+1).  Sums the ideal probability of every true count
+    j >= reported against the binomial retention weight; both parities of
+    j contribute.
     """
-    _require_single_splitter(cfg)
     reported = _reported_count(m, parity)
     _check_eta(eta)
-    _, log_masses = _loss_branches(cfg, reported, eta)
+    _, log_masses = _loss_branches(_one_tap(cfg), reported, eta)
     return logreal_sum_logs(log_masses)
 
 
 def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> float:
     """Fidelity of the lossy-heralded mixture against the matching cat.
 
-    m is the reported photon count; its parity picks the cat family.  The
-    mixture runs over true counts j >= m weighted by branch mass; branches
-    of opposite parity contribute probability but zero overlap.  Raises
-    DomainError when no true count can be reported as m at this hub.
+    m is the reported photon count, on a chain of k taps the total over all
+    detectors; every split of it across the taps gives this same fidelity.
+    Its parity picks the cat family.  The mixture runs over true counts
+    j >= m weighted by branch mass; branches of opposite parity contribute
+    probability but zero overlap.  Raises DomainError when no true count
+    can be reported as m at this hub.
     """
-    _require_single_splitter(cfg)
+    cfg = _one_tap(cfg)
     if m < 0:
         raise DomainError(f"reported count must be >= 0, got {m}")
     _check_eta(eta)
@@ -194,7 +203,11 @@ class _FirstOrder(NamedTuple):
 
 def _first_order(eta: float, rf: float) -> _FirstOrder:
     load = (1.0 - eta) * rf
-    return _FirstOrder(load, 1.0 - load, 1.0 + load, load**2)
+    try:
+        penalty = load**2
+    except OverflowError:
+        raise DomainError(f"first-order load (1 - eta) rf = {load:.4g} overflows its square") from None
+    return _FirstOrder(load, 1.0 - load, 1.0 + load, penalty)
 
 
 def lossy_fidelity_firstorder(
@@ -208,9 +221,10 @@ def lossy_fidelity_firstorder(
 ) -> float:
     """First-order fidelity multiplier 1 - (1-eta)(1-T)/T <n>.
 
-    With second_order=True (single splitter only in spirit; T is then just
-    t1^2) adds the (1-eta)^2 correction, which needs the cat amplitude beta
-    to form the overlap ratio of the (N+2)- and N-photon heralded states.
+    With second_order=True adds the (1-eta)^2 correction, which needs the
+    cat amplitude beta to form the overlap ratio of the (N+2)- and N-photon
+    heralded states.  Both orders hold for any chain, whose one-tap
+    equivalent has t^2 = T.
     """
     _check_eta(eta)
     mean_n = mean_photon(parity, N, y)
@@ -231,12 +245,13 @@ def lossy_fidelity_firstorder(
 
 
 def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
-    """First-order lossy heralding probability for one splitter.
+    """First-order lossy heralding probability of the reported total 2m (+1).
 
-    eta^N * ideal * (1 + (1-eta)(1-t^2)/t^2 <n>), the expansion whose gap
-    from lossy_prob shrinks quadratically in (1-eta).
+    eta^N * ideal * (1 + (1-eta)(1-T)/T <n>), with ideal the probability of
+    the total on the one-tap equivalent; the expansion whose gap from
+    lossy_prob shrinks quadratically in (1-eta).
     """
-    _require_single_splitter(cfg)
+    cfg = _one_tap(cfg)
     reported = _reported_count(m, parity)
     _check_eta(eta)
     ideal = joint_success_prob(cfg, Outcome((reported,)))
@@ -286,22 +301,3 @@ def tradeoff_product(
         delta_fidelity=delta_f,
         delta_prob=delta_p,
     )
-
-
-def lossy_fidelity_mixture(
-    branches, target: FockVector
-) -> float:
-    """Fidelity of a (weight, FockVector) branch ensemble against a pure target.
-
-    Weighted average of branch fidelities over the total weight; used with
-    the brute-force simulator's lossy output for multi-splitter checks.
-    """
-    num = 0.0
-    den = 0.0
-    for weight, state in branches:
-        den += weight
-        ov = inner_product(state, target)
-        num += weight * ov * ov
-    if den <= 0.0:
-        raise DomainError("branch ensemble carries no probability mass")
-    return num / den

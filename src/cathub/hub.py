@@ -54,8 +54,9 @@ class HubConfig:
     transmittances: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.squeezing > 0.0) or not math.isfinite(self.squeezing):
-            raise DomainError(f"squeezing must be positive and finite, got {self.squeezing}")
+        # y0 = tanh(s)/2 must stay below 1/2, which tanh rounds to past s ~ 19
+        if not (self.squeezing > 0.0 and math.tanh(self.squeezing) < 1.0):
+            raise DomainError(f"squeezing must be positive with tanh(s) < 1, got {self.squeezing}")
         ts = tuple(float(t) for t in self.transmittances)
         if len(ts) == 0:
             raise DomainError("at least one beam splitter is required")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import _branch_weight_log, _check_eta
-from .errors import DomainError
-from .fock import FockVector
+from .errors import DomainError, TruncationError
+from .fock import FockVector, inner_product
 from .hub import HubConfig, Outcome, _smsv_amps, heralded_amps
 from .logreal import LogReal, logreal_sum, logreal_sum_logs
 
@@ -180,7 +180,10 @@ def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 
     weighting each by its binomial retention probability times the ideal
     heralding probability from simulate_hub.  Returns (branches, total)
     where branches is a list of (weight, FockVector) and total is the lossy
-    heralding probability as LogReal.
+    heralding probability as LogReal.  The walk stops once a level's mass
+    falls below _LOSSY_LEVEL_EPS of the largest level, or at a level with
+    no mass; raises TruncationError when _LOSSY_LEVEL_CAP levels pass
+    without a stop.
     """
     _check_eta(eta)
     reported_counts = np.array(reported.counts)
@@ -201,13 +204,34 @@ def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 
             level_mass += mass
         if eta == 1.0:
             break
-        if level_mass > 0.0:
-            best_level = max(best_level, math.log(level_mass))
-            if math.log(level_mass) < best_level + math.log(_LOSSY_LEVEL_EPS):
-                break
-        elif best_level > -math.inf:
+        if level_mass == 0.0:
+            # the masses have fallen off, or, at level 0, a transparent tap
+            # reports photons and so does every larger true count
             break
+        best_level = max(best_level, math.log(level_mass))
+        if math.log(level_mass) < best_level + math.log(_LOSSY_LEVEL_EPS):
+            break
+    else:
+        raise TruncationError(f"lossy level walk hit its cap of {_LOSSY_LEVEL_CAP} at level {level}")
     return branches, logreal_sum_logs(log_masses)
+
+
+def lossy_fidelity_mixture(branches, target: FockVector) -> float:
+    """Fidelity of a (weight, FockVector) branch ensemble against a pure target.
+
+    Weighted average of branch fidelities over the total weight; applied
+    to simulate_lossy's branches it is the brute-force reference for
+    detector.lossy_fidelity_exact.
+    """
+    num = 0.0
+    den = 0.0
+    for weight, state in branches:
+        den += weight
+        ov = inner_product(state, target)
+        num += weight * ov * ov
+    if den <= 0.0:
+        raise DomainError("branch ensemble carries no probability mass")
+    return num / den
 
 
 def _compositions(total: int, parts: int):

@@ -1,8 +1,11 @@
-import math
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cathub import cli
 from cathub.cli import main
@@ -206,6 +209,19 @@ def test_detector_report_transparent_tap_leaves_exact_empty(tmp_path):
     assert rows[0][6] == ""  # no exact multiplier without a reachable count
 
 
+def test_detector_report_chain_rows_carry_exact_multiplier(tmp_path):
+    # two taps at t are exactly one tap at t^2, exact multiplier included
+    out = tmp_path / "d.csv"
+    code = main(["detector-report", "--k", "2,1", "--t", "0.9,0.81", "--N", "20", "--beta", "3",
+                 "--out", str(out)])
+    assert code == 0
+    _, rows = _rows(out)
+    assert rows[0][:2] == ["2", "0.9"] and rows[3][:2] == ["1", "0.81"]
+    assert 0.0 < float(rows[0][6]) < 1.0
+    assert float(rows[0][6]) == pytest.approx(float(rows[3][6]), rel=1e-10)
+    assert float(rows[0][4]) == pytest.approx(float(rows[3][4]), rel=1e-10)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -221,6 +237,12 @@ def test_detector_report_transparent_tap_leaves_exact_empty(tmp_path):
         ["fidelity-sweep", "--config", "CFG"],
         # a bad file value is caught even where a flag overrides it
         ["fidelity-sweep", "--config", "CFG", "--workers", "1"],
+        # a range whose point count is not finite, or too large to build
+        ["fidelity-sweep", "--N", "10", "--beta", "0.5:1e300:1e-300"],
+        ["fidelity-sweep", "--N", "10", "--beta", "0:1e9:1e-3"],
+        ["detector-report", "--mean-n", "inf"],
+        ["oracle-check", "--tolerance", "nan"],
+        ["oracle-check", "--tolerance", "-1"],
     ],
 )
 def test_out_of_range_bounds_are_usage_errors(argv, tmp_path, capsys):
@@ -229,6 +251,75 @@ def test_out_of_range_bounds_are_usage_errors(argv, tmp_path, capsys):
     assert main([str(cfg) if arg == "CFG" else arg for arg in argv]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+def test_overflowing_first_order_load_is_domain_error(capsys):
+    # (1 - eta) rf is finite but its square, the trade-off penalty, is not
+    assert main(["detector-report", "--k", "1", "--N", "20", "--beta", "3",
+                 "--mean-n", "1e308"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# boundary and malformed tokens; the last one is a range whose point count
+# is not finite
+_BAD_TOKENS = ["nan", "inf", "-1", "0", "1e308", "abc", "", "0:1e300:1e-300"]
+# valid tokens per flag, kept cheap: N <= 40, at most 3 grid points, and for
+# oracle-check k <= 2, N <= 3 and cutoff <= 20; every flag is always given,
+# since some defaults (N = 90, oracle-check k = 3) are slow
+_SWEEP_FLAGS = {
+    "--parity": ["even", "odd"],
+    "--N": ["0", "11", "40", "10,20"],
+    "--beta": ["2", "0.5:1.5:0.5", "1,3"],
+}
+_ARGV_FLAGS = {
+    "fidelity-sweep": _SWEEP_FLAGS,
+    "meanphoton-sweep": _SWEEP_FLAGS,
+    "prob-sweep": {
+        "--t": ["0.8", "0.9,1"],
+        "--beta": ["2.5", "2:3:0.5"],
+        "--counts": ["10,10", "20", "0,4;3"],
+    },
+    "detector-report": {
+        "--t": ["0.9", "0.95,1"],
+        "--k": ["1", "2", "1,2"],
+        "--eta": ["0.95", "1"],
+        "--mean-n": ["35", "0"],
+        "--N": ["20", "40"],
+        "--beta": ["3", "0.5"],
+    },
+    "oracle-check": {
+        "--k": ["1", "2"],
+        "--N": ["2", "3"],
+        "--t": ["0.8", "0.7,0.9"],
+        "--s": ["0.5", "1,0.5"],
+        "--cutoff": ["10", "20"],
+        "--tolerance": ["1e-9", "0"],
+    },
+}
+_COMMON_FLAGS = {"--precision": ["3", "17"], "--workers": ["1"]}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    flags = {**_ARGV_FLAGS[command], **_COMMON_FLAGS}
+    # a few flags take a bad token, the rest a valid one, so that a bad
+    # token often reaches the computation
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, valid in flags.items():
+        argv += [flag, draw(st.sampled_from(_BAD_TOKENS if flag in bad else valid))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_any_argv_ends_in_an_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_file_defaults_and_override(tmp_path):

@@ -110,11 +110,13 @@ def test_prob_firstorder_gain_value():
 
 def test_prob_firstorder_tracks_exact():
     res = optimal_y("even", 10, 2.5)
-    cfg = HubConfig.from_target_y(res.y_star, (0.95,))
     eta = 0.99
-    exact = lossy_prob(cfg, 5, "even", eta).to_float()
-    first = lossy_prob_firstorder(cfg, 5, "even", eta).to_float()
-    assert first == pytest.approx(exact, rel=5e-4)
+    # one tap, and a two-tap chain with the same transmittance product
+    for taps in ((0.95,), (0.97, 0.95 / 0.97)):
+        cfg = HubConfig.from_target_y(res.y_star, taps)
+        exact = lossy_prob(cfg, 5, "even", eta).to_float()
+        first = lossy_prob_firstorder(cfg, 5, "even", eta).to_float()
+        assert first == pytest.approx(exact, rel=5e-4)
 
 
 def test_gap_shrinks_quadratically():
@@ -181,14 +183,6 @@ def test_tradeoff_identity_and_k_invariance():
     lossless = tradeoff_product(cfg1, Outcome((20,)), 1.0, 3.0)
     assert lossless.penalty == 0.0
     assert lossless.closed_form.is_zero()
-
-
-def test_single_splitter_required_for_exact_paths():
-    cfg = HubConfig(0.8, (0.9, 0.9))
-    with pytest.raises(DomainError):
-        lossy_prob(cfg, 2, "even", 0.9)
-    with pytest.raises(DomainError):
-        lossy_fidelity_exact(cfg, 4, 0.9, 2.0)
 
 
 def test_lossy_fidelity_exact_needs_reachable_count():

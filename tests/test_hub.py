@@ -38,6 +38,10 @@ def test_hub_config_validation():
         HubConfig(0.5, (1.2,))
     with pytest.raises(DomainError):
         HubConfig(0.5, ())
+    # tanh(s) rounds to 1, so y0 would sit on the singular point 1/2
+    for s in (20.0, 1e308, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            HubConfig(s, (0.9,))
 
 
 def test_from_target_y_round_trip():

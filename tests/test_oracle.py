@@ -1,21 +1,26 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from cathub import oracle
 from cathub.cats import cat_state, optimal_y
-from cathub.detector import lossy_fidelity_exact, lossy_fidelity_mixture, lossy_prob
-from cathub.errors import DomainError
+from cathub.detector import lossy_fidelity_exact, lossy_prob
+from cathub.errors import DomainError, TruncationError
+from cathub.fock import parity_of
 from cathub.hub import HubConfig, Outcome, heralded_amps
+from cathub.logreal import logreal_sum_logs
 from cathub.oracle import (
     TwoModeState,
     apply_splitter,
     bs_matrix_element,
     equivalence_grid,
+    lossy_fidelity_mixture,
     simulate_hub,
     simulate_lossy,
 )
-from cathub.oracle import _project_splitter, _smsv_true_basis
+from cathub.oracle import _compositions, _project_splitter, _smsv_true_basis
 from cathub.probabilities import joint_success_prob, success_prob_single
 
 
@@ -140,11 +145,36 @@ def test_lossy_branches_sum_to_total():
     assert all(w >= 0.0 for w, _ in branches)
 
 
-def test_lossy_total_matches_analytic_single_tap():
+# (taps, reported total, eta, cutoff) for chains of lossy detectors; the
+# analytic route reduces each chain to its one-tap equivalent
+_LOSSY_CHAINS = [
+    ((0.9, 0.9), 2, 0.95, 30),
+    ((0.8, 0.95), 3, 0.97, 30),
+    ((0.7, 0.9, 0.85), 1, 0.98, 20),
+]
+
+
+@functools.cache
+def _lossy_every_split(taps, total, eta, cutoff):
+    """simulate_lossy at s = 0.8 for every split of `total` across the taps."""
+    cfg = HubConfig(0.8, taps)
+    return [
+        simulate_lossy(cfg, Outcome(counts), eta, cutoff)
+        for counts in _compositions(total, len(taps))
+    ]
+
+
+def test_lossy_total_matches_analytic():
     cfg = HubConfig(0.8, (0.9,))
     _, total = simulate_lossy(cfg, Outcome((2,)), 0.9, cutoff=40)
     want = lossy_prob(cfg, 1, "even", 0.9)
     assert (total / want).to_float() == pytest.approx(1.0, rel=1e-10)
+    # on a chain, lossy_prob is the probability that the counts sum to the total
+    for taps, n, eta, cutoff in _LOSSY_CHAINS:
+        splits = _lossy_every_split(taps, n, eta, cutoff)
+        got = logreal_sum_logs(np.array([total.log_mag for _, total in splits]))
+        want = lossy_prob(HubConfig(0.8, taps), n // 2, parity_of(n), eta)
+        assert (got / want).to_float() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lossy_mixture_fidelity_matches_analytic():
@@ -155,6 +185,25 @@ def test_lossy_mixture_fidelity_matches_analytic():
     got = lossy_fidelity_mixture(branches, target)
     want = lossy_fidelity_exact(cfg, 2, 0.9, 1.2)
     assert got == pytest.approx(want, rel=1e-12)
+    # on a chain, every split of the reported total gives the same fidelity
+    for taps, n, eta, cutoff in _LOSSY_CHAINS:
+        target = cat_state(1.2, parity_of(n))
+        want = lossy_fidelity_exact(HubConfig(0.8, taps), n, eta, 1.2)
+        for branches, _ in _lossy_every_split(taps, n, eta, cutoff):
+            assert lossy_fidelity_mixture(branches, target) == pytest.approx(want, rel=1e-12)
+
+
+def test_lossy_walk_raises_at_its_cap(monkeypatch):
+    # no natural case reaches the 400-level cap; a lower cap stands in
+    monkeypatch.setattr(oracle, "_LOSSY_LEVEL_CAP", 3)
+    with pytest.raises(TruncationError, match="level 3"):
+        simulate_lossy(HubConfig(0.8, (0.9,)), Outcome((2,)), 0.5, cutoff=20)
+
+
+def test_lossy_walk_stops_at_once_on_transparent_tap():
+    # nothing reflects at t = 1, so no true count carries probability
+    branches, total = simulate_lossy(HubConfig(0.8, (1.0,)), Outcome((2,)), 0.9)
+    assert branches == [] and total.is_zero()
 
 
 def test_lossless_detector_keeps_single_branch():
