@@ -25,10 +25,8 @@ from .hub import (
     HubConfig,
     Outcome,
     chain_transmission,
-    default_cutoff,
     heralded_amps,
     heralded_state,
-    squeezed_vacuum,
 )
 from .logreal import LogReal, logreal_sum, logreal_sum_logs
 from .oracle import (
@@ -68,7 +66,6 @@ __all__ = [
     "cat_state",
     "chain_transmission",
     "conditional_prob",
-    "default_cutoff",
     "demux_ratio",
     "equivalence_grid",
     "fidelity",
@@ -92,7 +89,6 @@ __all__ = [
     "reduction_factor",
     "simulate_hub",
     "simulate_lossy",
-    "squeezed_vacuum",
     "success_prob_single",
     "tradeoff_product",
 ]

@@ -8,6 +8,7 @@ hub.heralded_state natural approximations to it.
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,20 +46,23 @@ def cat_state(beta: float, parity: str, cutoff: int | None = None) -> FockVector
     Even amplitudes: 2 N+ exp(-beta^2/2) beta^(2n) / sqrt((2n)!)
     Odd amplitudes:  2 N- exp(-beta^2/2) beta^(2n+1) / sqrt((2n+1)!)
     with N+- = (2 (1 +- exp(-2 beta^2)))^(-1/2).  beta = 0 is admitted only
-    for the even branch, where the state degenerates to vacuum.
+    for the even branch, where the state degenerates to vacuum; the odd
+    branch needs beta^2 to be a normal float.
     """
     off = photon_offset(parity)
     if beta < 0.0 or not math.isfinite(beta):
         raise DomainError(f"beta must be >= 0 and finite, got {beta}")
-    if beta == 0.0:
-        if parity == "odd":
-            raise DomainError("odd cat state is undefined at beta = 0")
+    if beta == 0.0 and not off:
         return FockVector("even", np.array([1.0]))
+    b2 = beta * beta
+    # the odd state is undefined at beta = 0 and its norm is lost once beta^2 is subnormal
+    if off and b2 < sys.float_info.min:
+        raise DomainError(f"odd cat state needs beta^2 >= {sys.float_info.min:.4g}, got beta = {beta}")
     if cutoff is None:
         cutoff = _cat_cutoff(beta)
-    b2 = beta * beta
-    sign = 1.0 if parity == "even" else -1.0
-    log_norm = 0.5 * math.log(2.0 / (1.0 + sign * math.exp(-2.0 * b2)))
+    # 1 - exp(-2 beta^2) through expm1, which keeps its digits at small beta
+    d = -math.expm1(-2.0 * b2) if off else 1.0 + math.exp(-2.0 * b2)
+    log_norm = 0.5 * math.log(2.0 / d)
     photons = 2 * np.arange(cutoff + 1) + off
     logs = photons * math.log(beta) - 0.5 * log_factorials(photons) - 0.5 * b2 + log_norm
     vec = FockVector(parity, np.exp(logs))

@@ -189,7 +189,10 @@ def reduction_factor(t_product_sq: float, mean_n: float) -> float:
         raise DomainError(
             f"squared transmittance product must lie in (0, 1], got {t_product_sq}"
         )
-    return (1.0 - t_product_sq) / t_product_sq * mean_n
+    rf = (1.0 - t_product_sq) / t_product_sq * mean_n
+    if not math.isfinite(rf):
+        raise DomainError(f"reduction factor at T = {t_product_sq} and <n> = {mean_n} is not finite")
+    return rf
 
 
 class _FirstOrder(NamedTuple):

@@ -9,7 +9,3 @@ class DomainError(ValueError):
 
 class TruncationError(RuntimeError):
     """A Fock-space cutoff is too small for the requested accuracy."""
-
-    def __init__(self, message: str, suggested_cutoff: int | None = None):
-        super().__init__(message)
-        self.suggested_cutoff = suggested_cutoff

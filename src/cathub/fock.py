@@ -65,7 +65,7 @@ class FockVector:
         photon_offset(self.parity)  # validates the tag
         arr = np.asarray(self.amps, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("amps must be a non-empty 1-D array")
+            raise DomainError("amps must be a non-empty 1-D array")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
@@ -92,9 +92,7 @@ class FockVector:
             return
         if float(self.amps[-1] ** 2) > _TAIL_RATIO * peak:
             raise TruncationError(
-                f"amplitude at cutoff index {self.cutoff} is not negligible; "
-                f"increase the cutoff (suggested >= {self.cutoff * 2 + 16})",
-                suggested_cutoff=self.cutoff * 2 + 16,
+                f"amplitude at cutoff index {self.cutoff} is not negligible; increase the cutoff"
             )
 
     def __repr__(self):

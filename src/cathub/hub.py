@@ -22,15 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
-from .fock import FockVector, genfunc_derivative, log_genfunc_derivative, parity_of, photon_offset
+from .errors import DomainError
+from .fock import (
+    _TAIL_RATIO,
+    FockVector,
+    genfunc_derivative,
+    log_genfunc_derivative,
+    parity_of,
+    photon_offset,
+)
 from .logreal import log_factorials
 
 __all__ = [
     "HubConfig",
     "Outcome",
-    "default_cutoff",
-    "squeezed_vacuum",
     "heralded_state",
     "heralded_amps",
     "chain_transmission",
@@ -64,6 +69,8 @@ class HubConfig:
             if not (0.0 < t <= 1.0):
                 raise DomainError(f"transmittance must lie in (0, 1], got {t}")
         object.__setattr__(self, "transmittances", ts)
+        if not self.y_out > 0.0:
+            raise DomainError(f"y_k = T y0 underflows to 0 on the chain {ts}")
 
     @property
     def k(self) -> int:
@@ -87,27 +94,16 @@ class HubConfig:
     def y_out(self) -> float:
         return self.y_chain[-1]
 
-    @property
-    def reflectances(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(1.0 - t * t) for t in self.transmittances)
-
-    @property
-    def squeezing_db(self) -> float:
-        """Quadrature noise reduction in dB: -10 log10(exp(-2s))."""
-        return 20.0 * self.squeezing / math.log(10.0)
-
-    @property
-    def mean_photons_source(self) -> float:
-        return math.sinh(self.squeezing) ** 2
-
     @classmethod
     def from_target_y(cls, y_target: float, transmittances) -> "HubConfig":
         """Back-solve the squeezing so the chain ends at y_k = y_target."""
         ts = tuple(float(t) for t in transmittances)
-        tanh_s = 2.0 * y_target / chain_transmission(ts)
+        t_product_sq = chain_transmission(ts)
+        # divide only once 2y < T, so that the quotient cannot overflow
+        tanh_s = 2.0 * y_target / t_product_sq if 0.0 < 2.0 * y_target < t_product_sq else math.nan
         if not (0.0 < tanh_s < 1.0):
             raise DomainError(
-                f"target y = {y_target} needs tanh(s) = {tanh_s:.6g}, outside (0, 1)"
+                f"target y = {y_target} needs tanh(s) = 2y/T in (0, 1), but T = {t_product_sq:.6g}"
             )
         return cls(math.atanh(tanh_s), ts)
 
@@ -150,18 +146,34 @@ def _check_open_y(y) -> None:
         raise DomainError(f"y must lie in (0, 0.5), got {y}")
 
 
-def default_cutoff(m: int, y: float) -> int:
-    """Storage cutoff large enough for a 1e-14 relative amplitude tail.
+# largest automatic heralded-state window; m <= 400 at y <= 0.499 needs at
+# most 416,001 levels (odd, m = 400, y = 0.499)
+_WINDOW_CAP = 2**20
 
-    Two regimes: the 40/(1-2y) term covers the broadening of the bare
-    squeezed distribution as y -> 1/2, while the (2m+24)/(-ln 2y) term covers
-    the slow n^m growth of the factorial ratio before geometric decay in
-    (2y)^n takes over.  Raises DomainError outside 0 < y < 0.5.
+
+def _herald_window(order: int, off: int, y: float) -> int:
+    """A window whose last squared amplitude is provably <= _TAIL_RATIO x peak.
+
+    For order N = 2m + off the amplitude ratio is
+
+        a_(n+1)/a_n = 2y (2n + N + off + 1) / sqrt((2n + off + 1)(2n + off + 2))
+                   <= 2y (1 + N / (2n + off + 1)),
+
+    a bound that falls as n grows.  With q = sqrt(2y) it is <= q from
+    n1 = max(0, ceil((N q / (1 - q) - off - 1) / 2)) on, so the peak lies at
+    or before n1 and a_(n1+k)^2 <= (2y)^k peak^2: the window
+    n1 + ceil(ln(_TAIL_RATIO) / ln(2y)) passes FockVector.check_tail.
+    Raises DomainError, before anything is allocated, for a window above
+    _WINDOW_CAP, which includes q rounding to 1 within an ulp of y = 1/2.
     """
-    _check_open_y(y)
-    broad = math.ceil((8.0 * (m + 1) + 40.0 / (1.0 - 2.0 * y)) / 2.0)
-    slow = math.ceil((2.0 * m + 24.0) / max(-math.log(2.0 * y), 1e-3) + 16.0)
-    return max(broad, slow, 16)
+    q = math.sqrt(2.0 * y)
+    window = math.inf
+    if q < 1.0:
+        n1 = max(0, math.ceil((order * q / (1.0 - q) - off - 1) / 2.0))
+        window = n1 + math.ceil(math.log(_TAIL_RATIO) / math.log(2.0 * y))
+    if window > _WINDOW_CAP:
+        raise DomainError(f"order {order} at y = {y} needs a window above {_WINDOW_CAP}")
+    return window
 
 
 def heralded_amps(parity: str, m: int, y, n_max: int) -> np.ndarray:
@@ -201,35 +213,16 @@ def heralded_state(parity: str, m: int, y: float, cutoff: int | None = None) -> 
     """The state heralded by subtracting 2m (even) or 2m+1 (odd) photons.
 
     y is the generating-function parameter at the herald point (the end of
-    the chain), 0 < y < 0.5.  The result is normalised analytically; its
-    norm differing from one therefore cross-checks genfunc_derivative
+    the chain), 0 < y < 0.5.  Without a cutoff the window comes from the
+    tail bound of _herald_window.  The result is normalised analytically;
+    its norm differing from one therefore cross-checks genfunc_derivative
     against a direct sum.
     """
-    tries = 4 if cutoff is None else 1
     if cutoff is None:
-        cutoff = default_cutoff(m, y)
-    for attempt in range(1, tries + 1):
-        vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
-        try:
-            vec.check_tail()
-            return vec
-        except TruncationError as exc:
-            if attempt == tries:
-                raise
-            # the default rule can undershoot in odd corners; grow until clean
-            cutoff = exc.suggested_cutoff
-
-
-def squeezed_vacuum(s: float, cutoff: int | None = None) -> FockVector:
-    """Single-mode squeezed vacuum over the even sector.
-
-    Amplitudes c_n = y0^n sqrt((2n)!) / n! / sqrt(cosh s) with y0 = tanh(s)/2.
-    """
-    if not (s > 0.0) or not math.isfinite(s):
-        raise DomainError(f"squeezing must be positive and finite, got {s}")
-    if cutoff is None:
-        cutoff = default_cutoff(0, math.tanh(s) / 2.0)
-    vec = FockVector("even", _smsv_amps(s, cutoff))
+        off = photon_offset(parity)
+        _check_open_y(y)
+        cutoff = _herald_window(2 * m + off, off, y)
+    vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
     vec.check_tail()
     return vec
 

@@ -146,6 +146,8 @@ def simulate_hub(cfg: HubConfig, outcome: Outcome, cutoff: int = 40):
         raise DomainError(
             f"outcome has {outcome.k} counts but the hub has {cfg.k} splitters"
         )
+    if cutoff < 0:
+        raise DomainError(f"cutoff must be >= 0, got {cutoff}")
     span = 2 * cutoff + outcome.total + 1
     signal = _smsv_true_basis(cfg.squeezing, span)
     log_prob = 0.0

@@ -15,7 +15,8 @@ Y_STAR_90_5 = 0.10817972
 
 
 def test_cat_state_is_normalised():
-    for beta in (0.3, 1.0, 2.5, 6.0):
+    # at beta = 1e-9, 1 - exp(-2 beta^2) in plain subtraction cancels to 0
+    for beta in (1e-9, 1e-8, 0.3, 1.0, 2.5, 6.0):
         for parity in ("even", "odd"):
             assert cat_state(beta, parity).norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -40,6 +41,11 @@ def test_odd_cat_needs_positive_amplitude():
         cat_state(0.0, "odd")
     with pytest.raises(DomainError):
         cat_state(-1.0, "odd")
+    # beta^2 = 1e-320 is subnormal; the normalisation 1 - exp(-2 beta^2) is lost
+    with pytest.raises(DomainError):
+        cat_state(1e-160, "odd")
+    with pytest.raises(DomainError):
+        cat_state(1.0, "even", cutoff=-1)
 
 
 def test_cat_mean_photget_matches_closed_form():

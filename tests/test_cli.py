@@ -55,6 +55,16 @@ def test_domain_error_exit_code(tmp_path):
         ]
     )
     assert code == 2
+    # beta^2 = 1e-320 is subnormal, so the odd cat has no normalisation
+    assert main(["fidelity-sweep", "--parity", "odd", "--N", "1", "--beta", "1e-160"]) == 2
+
+
+def test_tiny_odd_beta_sweeps_to_one_photon(capsys):
+    # 1 - exp(-2 beta^2) is 2e-18 here, not 0; both states are nearly |1>
+    assert main(["fidelity-sweep", "--parity", "odd", "--N", "11", "--beta", "1e-9"]) == 0
+    out, err = capsys.readouterr()
+    assert float(out.splitlines()[1].split(",")[4]) == pytest.approx(1.0, abs=1e-9)
+    assert "Traceback" not in err
 
 
 def test_huge_beta_is_domain_error(capsys):
@@ -257,12 +267,15 @@ def test_overflowing_first_order_load_is_domain_error(capsys):
     # (1 - eta) rf is finite but its square, the trade-off penalty, is not
     assert main(["detector-report", "--k", "1", "--N", "20", "--beta", "3",
                  "--mean-n", "1e308"]) == 2
+    # (1 - T)/T itself overflows at T = 1e-320
+    assert main(["detector-report", "--k", "1", "--t", "1e-160"]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
-# boundary and malformed tokens; the last one is a range whose point count
-# is not finite
-_BAD_TOKENS = ["nan", "inf", "-1", "0", "1e308", "abc", "", "0:1e300:1e-300"]
+# boundary and malformed tokens; 1e-160 and 1e-200 make t^2, t^4 or beta^2
+# subnormal or zero, and the last one is a range whose point count is not
+# finite
+_BAD_TOKENS = ["nan", "inf", "-1", "0", "1e308", "1e-160", "1e-200", "abc", "", "0:1e300:1e-300"]
 # valid tokens per flag, kept cheap: N <= 40, at most 3 grid points, and for
 # oracle-check k <= 2, N <= 3 and cutoff <= 20; every flag is always given,
 # since some defaults (N = 90, oracle-check k = 3) are slow

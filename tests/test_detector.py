@@ -221,6 +221,17 @@ def test_loss_walk_raises_at_its_cap():
         lossy_prob(HubConfig(8.0, (0.9,)), 1, "even", 0.001)
 
 
+def test_non_finite_reduction_factor_is_domain_error():
+    # (1 - T)/T overflows at T = 1e-320, and times <n> = 0 it is nan
+    with pytest.raises(DomainError):
+        reduction_factor(1e-320, 35.0)
+    cfg = HubConfig(0.5, (1e-160,))
+    with pytest.raises(DomainError):
+        lossy_prob_firstorder(cfg, 2, "even", 0.9)
+    with pytest.raises(DomainError):
+        tradeoff_product(cfg, Outcome((4,)), 0.9, 2.0)
+
+
 def test_eta_validation():
     cfg = HubConfig(0.8, (0.9,))
     with pytest.raises(DomainError):

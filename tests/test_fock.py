@@ -53,9 +53,8 @@ def test_check_tail():
     ok = FockVector("even", [1.0, 1e-3, 1e-9])
     ok.check_tail()
     bad = FockVector("even", [1.0, 0.5, 0.2])
-    with pytest.raises(TruncationError) as exc:
+    with pytest.raises(TruncationError):
         bad.check_tail()
-    assert exc.value.suggested_cutoff > bad.cutoff
 
 
 def test_inner_product_across_parities_vanishes():

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cathub import logreal
 from cathub.errors import DomainError
-from cathub.fock import genfunc_derivative, inner_product
+from cathub.fock import _TAIL_RATIO, FockVector, genfunc_derivative, inner_product
 from cathub.hub import (
     HubConfig,
     Outcome,
+    _smsv_amps,
     chain_transmission,
-    default_cutoff,
     heralded_amps,
     heralded_state,
-    squeezed_vacuum,
 )
 
 NORM_TOL = 1e-10
@@ -26,9 +26,6 @@ def test_hub_config_chain():
     assert cfg.y0 == pytest.approx(math.tanh(0.8) / 2.0)
     assert cfg.y_chain[0] == pytest.approx(0.81 * cfg.y0)
     assert cfg.y_out == pytest.approx(0.81 * 0.9025 * cfg.y0)
-    assert cfg.reflectances[0] == pytest.approx(math.sqrt(1.0 - 0.81))
-    assert cfg.squeezing_db == pytest.approx(20.0 * 0.8 / math.log(10.0))
-    assert cfg.mean_photons_source == pytest.approx(math.sinh(0.8) ** 2)
 
 
 def test_hub_config_validation():
@@ -42,6 +39,13 @@ def test_hub_config_validation():
     for s in (20.0, 1e308, math.inf, math.nan):
         with pytest.raises(DomainError):
             HubConfig(s, (0.9,))
+    # T = t^2 underflows to 0, so y_k = T y0 would be 0; from_target_y
+    # would divide by T
+    with pytest.raises(DomainError):
+        HubConfig(0.5, (1e-200,))
+    for ts in ((1e-200,), (1e-160, 1e-160)):
+        with pytest.raises(DomainError):
+            HubConfig.from_target_y(0.3, ts)
 
 
 def test_from_target_y_round_trip():
@@ -88,8 +92,8 @@ def test_heralded_norm_corner_cases():
 def test_zero_subtraction_reproduces_squeezed_vacuum():
     s = 0.7
     y0 = math.tanh(s) / 2.0
-    sv = squeezed_vacuum(s)
-    zero = heralded_state("even", 0, y0, cutoff=sv.cutoff)
+    zero = heralded_state("even", 0, y0)
+    sv = FockVector("even", _smsv_amps(s, zero.cutoff))
     assert inner_product(sv, zero) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,11 +132,6 @@ def test_amplitude_ratios_match_exact_factorials():
         assert odd[n + 1] / odd[n] == pytest.approx(want_odd, rel=1e-12)
 
 
-def test_default_cutoff_monotone_in_m():
-    assert default_cutoff(10, 0.3) >= default_cutoff(1, 0.3)
-    assert default_cutoff(1, 0.49) >= default_cutoff(1, 0.2)
-
-
 def test_herald_amplitude_vacuum_outcome():
     # the vacuum herald amplitude is (1-4 y_out^2)^(-1/4); its square over
     # cosh s is the probability that no tap clicks
@@ -166,6 +165,8 @@ def test_heralded_state_rejects_bad_inputs():
         heralded_state("even", 2, 0.5)
     with pytest.raises(DomainError):
         heralded_state("sideways", 2, 0.2)
+    with pytest.raises(DomainError):
+        heralded_state("even", 2, 0.3, cutoff=-1)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -177,9 +178,34 @@ def test_heralded_state_rejects_zero_herald_parameter(parity):
     with pytest.raises(DomainError):
         heralded_state(parity, 3, 0.0, cutoff=20)
     with pytest.raises(DomainError):
-        default_cutoff(3, 0.0)
-    with pytest.raises(DomainError):
         heralded_amps(parity, 3, np.array([0.1, 0.0]), 20)
+
+
+def _window_bound(parity, m, y):
+    # the tail bound, written out: past n1 each amplitude ratio is <= sqrt(2y)
+    off = 1 if parity == "odd" else 0
+    q = math.sqrt(2.0 * y)
+    n1 = max(0, math.ceil(((2 * m + off) * q / (1.0 - q) - off - 1) / 2.0))
+    return n1 + math.ceil(math.log(_TAIL_RATIO) / math.log(2.0 * y))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m", [0, 5, 45])
+@pytest.mark.parametrize("y", [1e-8, 0.3, 0.49, 0.4995, 0.4999])
+def test_automatic_window_is_the_tail_bound(parity, m, y, monkeypatch):
+    # windows reach 616,096 levels; keep the grown ln n! table out of later tests
+    monkeypatch.setattr(logreal, "_LOG_FACTORIALS", logreal._LOG_FACTORIALS)
+    state = heralded_state(parity, m, y)
+    assert state.cutoff == _window_bound(parity, m, y)
+    state.check_tail()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("y", [0.4999999, math.nextafter(0.5, 0.0)])
+def test_window_near_half_is_domain_error(parity, y):
+    # 1.6e8 levels at the first y; at the second sqrt(2y) rounds to 1
+    with pytest.raises(DomainError, match="window above"):
+        heralded_state(parity, 0, y)
 
 
 def test_heralded_amps_rows_follow_y_array():

@@ -127,6 +127,8 @@ def test_simulate_validates_shape():
     cfg = HubConfig(0.8, (0.9,))
     with pytest.raises(DomainError):
         simulate_hub(cfg, Outcome((1, 1)), cutoff=20)
+    with pytest.raises(DomainError):
+        simulate_hub(cfg, Outcome((0,)), cutoff=-1)
 
 
 def test_probability_conservation_single_tap():
