@@ -13,6 +13,7 @@ from .detector import (
     TradeoffProduct,
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
+    lossy_fidelity_secondorder,
     lossy_prob,
     lossy_prob_firstorder,
     povm_element,
@@ -31,8 +32,6 @@ from .hub import (
 from .logreal import LogReal, logreal_sum, logreal_sum_logs
 from .oracle import (
     EquivalenceReport,
-    TwoModeState,
-    apply_splitter,
     bs_matrix_element,
     equivalence_grid,
     lossy_fidelity_mixture,
@@ -60,8 +59,6 @@ __all__ = [
     "PovmElement",
     "TradeoffProduct",
     "TruncationError",
-    "TwoModeState",
-    "apply_splitter",
     "bs_matrix_element",
     "cat_state",
     "chain_transmission",
@@ -78,6 +75,7 @@ __all__ = [
     "logreal_sum_logs",
     "lossy_fidelity_exact",
     "lossy_fidelity_firstorder",
+    "lossy_fidelity_secondorder",
     "lossy_fidelity_mixture",
     "lossy_prob",
     "lossy_prob_firstorder",

@@ -29,7 +29,7 @@ _BRACKET_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# largest default cat window: keeps optimal_y's scan matrix near 32 MB (beta ~ 175)
+# largest cat window: keeps optimal_y's scan matrix near 32 MB (beta ~ 175)
 _CAT_WINDOW_CAP = 2**14
 
 
@@ -40,12 +40,13 @@ def _cat_cutoff(beta: float) -> int:
     return max(int(math.ceil(window)), 16)
 
 
-def cat_state(beta: float, parity: str, cutoff: int | None = None) -> FockVector:
+def cat_state(beta: float, parity: str) -> FockVector:
     """Even or odd cat state of amplitude beta as a FockVector.
 
     Even amplitudes: 2 N+ exp(-beta^2/2) beta^(2n) / sqrt((2n)!)
     Odd amplitudes:  2 N- exp(-beta^2/2) beta^(2n+1) / sqrt((2n+1)!)
-    with N+- = (2 (1 +- exp(-2 beta^2)))^(-1/2).  beta = 0 is admitted only
+    with N+- = (2 (1 +- exp(-2 beta^2)))^(-1/2), stored up to the cutoff
+    max(ceil((beta^2 + 12 beta + 30)/2), 16).  beta = 0 is admitted only
     for the even branch, where the state degenerates to vacuum; the odd
     branch needs beta^2 to be a normal float.
     """
@@ -58,12 +59,10 @@ def cat_state(beta: float, parity: str, cutoff: int | None = None) -> FockVector
     # the odd state is undefined at beta = 0 and its norm is lost once beta^2 is subnormal
     if off and b2 < sys.float_info.min:
         raise DomainError(f"odd cat state needs beta^2 >= {sys.float_info.min:.4g}, got beta = {beta}")
-    if cutoff is None:
-        cutoff = _cat_cutoff(beta)
     # 1 - exp(-2 beta^2) through expm1, which keeps its digits at small beta
     d = -math.expm1(-2.0 * b2) if off else 1.0 + math.exp(-2.0 * b2)
     log_norm = 0.5 * math.log(2.0 / d)
-    photons = 2 * np.arange(cutoff + 1) + off
+    photons = 2 * np.arange(_cat_cutoff(beta) + 1) + off
     logs = photons * math.log(beta) - 0.5 * log_factorials(photons) - 0.5 * b2 + log_norm
     vec = FockVector(parity, np.exp(logs))
     vec.check_tail()

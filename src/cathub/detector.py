@@ -1,8 +1,10 @@
 """Imperfect photon-number detection.
 
 Binomial-loss POVM elements, the exact lossy fidelity and heralding
-probability for a chain of any length, the first/second-order expansions
-in detector inefficiency, and the fidelity-probability trade-off product.
+probability for a chain of any length, the first-order expansions in
+detector inefficiency with the second-order fidelity term
+(lossy_fidelity_secondorder), and the fidelity-probability trade-off
+product.
 
 A chain of k splitters with lossy detectors on every tap is exactly its
 one-tap equivalent with t = prod t_i (_one_tap): summed over the splits of
@@ -213,30 +215,28 @@ def _first_order(eta: float, rf: float) -> _FirstOrder:
     return _FirstOrder(load, 1.0 - load, 1.0 + load, penalty)
 
 
-def lossy_fidelity_firstorder(
-    t_product_sq: float,
-    N: int,
-    parity: str,
-    eta: float,
-    y: float,
-    second_order: bool = False,
-    beta: float | None = None,
-) -> float:
+def lossy_fidelity_firstorder(t_product_sq: float, N: int, parity: str, eta: float, y: float) -> float:
     """First-order fidelity multiplier 1 - (1-eta)(1-T)/T <n>.
 
-    With second_order=True adds the (1-eta)^2 correction, which needs the
-    cat amplitude beta to form the overlap ratio of the (N+2)- and N-photon
-    heralded states.  Both orders hold for any chain, whose one-tap
-    equivalent has t^2 = T.
+    Holds for any chain, whose one-tap equivalent has t^2 = T.
+    """
+    _check_eta(eta)
+    rf = reduction_factor(t_product_sq, mean_photon(parity, N, y))
+    return _first_order(eta, rf).multiplier
+
+
+def lossy_fidelity_secondorder(
+    t_product_sq: float, N: int, parity: str, eta: float, y: float, beta: float
+) -> float:
+    """The first-order multiplier plus its (1-eta)^2 correction.
+
+    The correction needs the cat amplitude beta to form the overlap ratio
+    of the (N+2)- and N-photon heralded states.  Holds for any chain, whose
+    one-tap equivalent has t^2 = T.
     """
     _check_eta(eta)
     mean_n = mean_photon(parity, N, y)
     rf = reduction_factor(t_product_sq, mean_n)
-    value = _first_order(eta, rf).multiplier
-    if not second_order:
-        return value
-    if beta is None:
-        raise DomainError("second-order term needs the target cat amplitude")
     mean_other = mean_photon(parity_of(N + 1), N + 1, y)
     target = cat_state(beta, parity)
     overlap_ratio = _cat_overlap(parity, N // 2 + 1, y, target) / _cat_overlap(parity, N // 2, y, target)
@@ -244,7 +244,7 @@ def lossy_fidelity_firstorder(
     f2 = 0.5 * rf * reduction_factor(
         t_product_sq, 2.0 * mean_n - mean_other * (1.0 - overlap_ratio)
     )
-    return value + (1.0 - eta) ** 2 * f2
+    return _first_order(eta, rf).multiplier + (1.0 - eta) ** 2 * f2
 
 
 def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:

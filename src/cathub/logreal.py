@@ -67,16 +67,17 @@ class LogReal:
     def is_zero(self) -> bool:
         return self.sign == 0
 
+    # only LogReal operands: mixing in a plain number raises TypeError
     def __mul__(self, other) -> "LogReal":
-        other = _coerce(other)
+        if not isinstance(other, LogReal):
+            return NotImplemented
         if self.sign == 0 or other.sign == 0:
             return LogReal(0, 0.0)
         return LogReal(self.sign * other.sign, self.log_mag + other.log_mag)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "LogReal":
-        other = _coerce(other)
+        if not isinstance(other, LogReal):
+            return NotImplemented
         if other.sign == 0:
             raise ZeroDivisionError("LogReal division by zero")
         if self.sign == 0:
@@ -89,14 +90,6 @@ class LogReal:
         return f"LogReal({'+' if self.sign > 0 else '-'}exp({self.log_mag:.6g}))"
 
 
-def _coerce(x) -> LogReal:
-    if isinstance(x, LogReal):
-        return x
-    if isinstance(x, (int, float)):
-        return LogReal.from_float(float(x))
-    raise TypeError(f"cannot mix LogReal with {type(x).__name__}")
-
-
 # ln(k!) for k = 0..len-1; a memo of math.lgamma values, grown on demand.
 _LOG_FACTORIALS = np.zeros(1)
 
@@ -104,17 +97,20 @@ _LOG_FACTORIALS = np.zeros(1)
 def log_factorials(n) -> np.ndarray:
     """ln(n!) elementwise for an array of nonnegative integers.
 
-    Looks the values up in a table of math.lgamma values that doubles
-    whenever a larger argument arrives, so repeated calls cost one gather.
+    Looks the values up in a table of math.lgamma values that at least
+    doubles whenever a larger argument arrives, computing only the new
+    entries, so repeated calls cost one gather.
     """
     global _LOG_FACTORIALS
     n = np.asarray(n, dtype=np.intp)
     if n.min(initial=0) < 0:
         raise ValueError("factorial of a negative integer")
     top = int(n.max(initial=0))
-    if top >= len(_LOG_FACTORIALS):
-        size = max(top + 1, 2 * len(_LOG_FACTORIALS))
-        _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(size)])
+    old = len(_LOG_FACTORIALS)
+    if top >= old:
+        size = max(top + 1, 2 * old)
+        new = np.fromiter(map(math.lgamma, range(old + 1, size + 1)), np.float64, size - old)
+        _LOG_FACTORIALS = np.concatenate((_LOG_FACTORIALS, new))
     return _LOG_FACTORIALS[n]
 
 

@@ -1,8 +1,8 @@
 """Brute-force reference implementation over the explicit two-mode basis.
 
 Everything here is deliberately independent of the analytic machinery: the
-splitter acts as an explicit unitary on truncated photon-number amplitudes,
-ancillas are projected one at a time, and lossy detection enumerates true
+splitter acts through the matrix elements of its explicit unitary on
+truncated photon-number amplitudes, ancillas are projected one at a time, and lossy detection enumerates true
 counts against binomial retention weights.  Agreement with the closed-form
 states and probabilities is the package's primary self-check.  It shares
 only inputs with them: the squeezed-vacuum source and the binomial weight.
@@ -22,24 +22,6 @@ from .logreal import LogReal, logreal_sum, logreal_sum_logs
 
 _LOSSY_LEVEL_EPS = 1e-16
 _LOSSY_LEVEL_CAP = 400
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Amplitudes over (signal, ancilla) photon pairs; rows index the signal."""
-
-    amps: np.ndarray
-
-    @property
-    def signal_span(self) -> int:
-        return self.amps.shape[0] - 1
-
-    @property
-    def ancilla_span(self) -> int:
-        return self.amps.shape[1] - 1
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.amps * self.amps))
 
 
 def bs_matrix_element(
@@ -88,29 +70,6 @@ def bs_matrix_element(
         sign = -1 if (n_in0 - i) % 2 else 1
         terms.append(LogReal(sign, log_mag))
     return logreal_sum(terms).to_float()
-
-
-def apply_splitter(state: TwoModeState, t: float) -> TwoModeState:
-    """Full two-mode splitter action on an amplitude grid.
-
-    Cubic cost in the span; meant for small cross-checks, not production
-    sweeps.  Components that conservation would push beyond the stored grid
-    are dropped, so leave enough headroom in the input.
-    """
-    amps = state.amps
-    rows, cols = amps.shape
-    out = np.zeros((rows, cols))
-    for q in range(rows):
-        for v in range(cols):
-            a = amps[q, v]
-            if a == 0.0:
-                continue
-            for p in range(q + v + 1):
-                w = q + v - p
-                if p >= rows or w >= cols:
-                    continue
-                out[p, w] += a * bs_matrix_element(t, q, v, p, w)
-    return TwoModeState(out)
 
 
 def _smsv_true_basis(s: float, span: int) -> np.ndarray:

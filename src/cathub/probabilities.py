@@ -14,30 +14,19 @@ from .hub import HubConfig, Outcome
 from .logreal import LogReal
 
 
-def _log_tap_ratio(t: float) -> float:
-    # ln((1 - t^2)/t^2): per-photon weight of diverting a photon at one splitter
-    return math.log1p(-t * t) - 2.0 * math.log(t)
+def _log_tap_weight(t: float, y: float, n: int) -> float:
+    # ln(((1 - t^2)/t^2 y)^n / n!): the weight of tapping n photons at one splitter
+    return n * (math.log1p(-t * t) - 2.0 * math.log(t) + math.log(y)) - math.lgamma(n + 1)
 
 
 def success_prob_single(m: int, parity: str, t1: float, s: float) -> LogReal:
     """Probability that one splitter's detector reports 2m (even) or 2m+1 (odd).
 
-    Written out directly rather than through joint_success_prob so the
-    single-splitter law stays independently auditable.
+    The one-tap case of joint_success_prob.
     """
     if m < 0:
         raise DomainError(f"pair count m must be >= 0, got {m}")
-    n = 2 * m + photon_offset(parity)
-    cfg = HubConfig(s, (t1,))
-    y1 = cfg.y_out
-    if t1 == 1.0:
-        return LogReal.one() if n == 0 else LogReal.zero()
-    log_p = (
-        -math.log(math.cosh(s))
-        + n * (_log_tap_ratio(t1) + math.log(y1))
-        - math.lgamma(n + 1)
-    )
-    return LogReal(1, log_p) * genfunc_derivative(n, y1)
+    return joint_success_prob(HubConfig(s, (t1,)), Outcome((2 * m + photon_offset(parity),)))
 
 
 def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
@@ -56,7 +45,7 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
             continue
         if t_l == 1.0:
             return LogReal.zero()
-        log_p += n_l * (_log_tap_ratio(t_l) + math.log(y_l)) - math.lgamma(n_l + 1)
+        log_p += _log_tap_weight(t_l, y_l, n_l)
     return LogReal(1, log_p) * genfunc_derivative(outcome.total, cfg.y_out)
 
 
@@ -85,7 +74,7 @@ def conditional_prob(
     y_prev = cfg.y0 if index == 1 else cfg.y_chain[index - 2]
     if t_i == 1.0:
         return 1.0 if count == 0 else 0.0
-    log_w = count * (_log_tap_ratio(t_i) + math.log(y_i)) - math.lgamma(count + 1)
+    log_w = _log_tap_weight(t_i, y_i, count)
     ratio = genfunc_derivative(seen + count, y_i) / genfunc_derivative(seen, y_prev)
     return (LogReal(1, log_w) * ratio).to_float()
 

@@ -24,6 +24,7 @@ from cathub.detector import (
     tradeoff_product,
 )
 from cathub.hub import HubConfig, Outcome, heralded_state
+from cathub.logreal import LogReal
 from cathub.oracle import equivalence_grid
 from cathub.probabilities import (
     demux_ratio,
@@ -232,11 +233,11 @@ def test_acceptance_6_demux_ratio(capsys):
             cfg_1 = HubConfig.from_target_y(y_out, (t,))
             for total in range(0, 7):
                 single = joint_success_prob(cfg_1, Outcome((total,)))
-                single_scaled = single * math.cosh(cfg_1.squeezing)
+                single_scaled = single * LogReal.from_float(math.cosh(cfg_1.squeezing))
                 for counts in _compositions(total, k):
                     joint = joint_success_prob(cfg_k, Outcome(counts))
                     ratio = (
-                        joint * math.cosh(cfg_k.squeezing) / single_scaled
+                        joint * LogReal.from_float(math.cosh(cfg_k.squeezing)) / single_scaled
                     ).to_float()
                     want = demux_ratio(Outcome(counts), t).to_float()
                     worst = max(worst, abs(ratio / want - 1.0))

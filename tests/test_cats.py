@@ -44,8 +44,6 @@ def test_odd_cat_needs_positive_amplitude():
     # beta^2 = 1e-320 is subnormal; the normalisation 1 - exp(-2 beta^2) is lost
     with pytest.raises(DomainError):
         cat_state(1e-160, "odd")
-    with pytest.raises(DomainError):
-        cat_state(1.0, "even", cutoff=-1)
 
 
 def test_cat_mean_photget_matches_closed_form():

@@ -253,12 +253,19 @@ def test_detector_report_chain_rows_carry_exact_multiplier(tmp_path):
         ["detector-report", "--mean-n", "inf"],
         ["oracle-check", "--tolerance", "nan"],
         ["oracle-check", "--tolerance", "-1"],
+        ["detector-report", "--k", "0,1"],
+        # a range with two parts, and a backwards one
+        ["fidelity-sweep", "--N", "10", "--beta", "1:2"],
+        ["fidelity-sweep", "--N", "10", "--beta", "2:1:0.5"],
+        # a config file that sets config, and one that does not exist
+        ["fidelity-sweep", "--config", "SELF_CFG"],
+        ["fidelity-sweep", "--config", "NO_CFG"],
     ],
 )
 def test_out_of_range_bounds_are_usage_errors(argv, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("workers = 0\n", encoding="utf-8")
-    assert main([str(cfg) if arg == "CFG" else arg for arg in argv]) == 1
+    (tmp_path / "CFG").write_text("workers = 0\n", encoding="utf-8")
+    (tmp_path / "SELF_CFG").write_text("config = CFG\n", encoding="utf-8")
+    assert main([str(tmp_path / arg) if arg.endswith("CFG") else arg for arg in argv]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
 
@@ -358,10 +365,15 @@ def test_config_file_must_be_key_value(tmp_path):
     assert main(["fidelity-sweep", "--config", str(bad)]) == 1
 
 
-def test_oracle_check_minimal_pass(capsys):
-    code = main(["oracle-check", "--k", "1", "--N", "2", "--t", "0.9", "--s", "0.8"])
+def test_oracle_check_minimal_pass(capsys, tmp_path):
+    # --out gets the same report that goes to stdout
+    report = tmp_path / "report.txt"
+    code = main(["oracle-check", "--k", "1", "--N", "2", "--t", "0.9", "--s", "0.8",
+                 "--out", str(report)])
     assert code == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert report.read_text(encoding="utf-8") == out
 
 
 def test_oracle_check_transparent_tap(capsys):

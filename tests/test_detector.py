@@ -10,6 +10,7 @@ from cathub.cats import optimal_y
 from cathub.detector import (
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
+    lossy_fidelity_secondorder,
     lossy_prob,
     lossy_prob_firstorder,
     povm_element,
@@ -27,6 +28,7 @@ def test_povm_weight_example():
     assert el.weight(4) == pytest.approx(0.00230496, rel=1e-9)
     assert el.weight(1) == 0.0
     assert el.weight(2) == pytest.approx(0.98**2, rel=1e-12)
+    assert el.weight(11) == 0.0  # past the cutoff
 
 
 def test_povm_lossless_is_projector():
@@ -92,12 +94,8 @@ def test_lossy_fidelity_multiplier_below_one_prob_above():
     for eta in (0.9, 0.95, 0.99):
         fid_mult = lossy_fidelity_exact(cfg, 10, eta, 2.5) / res.fidelity
         prob_mult = (
-            lossy_prob(cfg, 5, "even", eta)
-            / (
-                success_prob_single(5, "even", 0.9, cfg.squeezing)
-                * (eta**10)
-            )
-        ).to_float()
+            lossy_prob(cfg, 5, "even", eta) / success_prob_single(5, "even", 0.9, cfg.squeezing)
+        ).to_float() / eta**10
         assert fid_mult < 1.0
         assert prob_mult > 1.0
 
@@ -137,9 +135,7 @@ def test_secondorder_closes_most_of_the_gap():
     eta = 0.95
     exact = lossy_fidelity_exact(cfg, 20, eta, 3.0) / res.fidelity
     first = lossy_fidelity_firstorder(0.95**2, 20, "even", eta, res.y_star)
-    second = lossy_fidelity_firstorder(
-        0.95**2, 20, "even", eta, res.y_star, second_order=True, beta=3.0
-    )
+    second = lossy_fidelity_secondorder(0.95**2, 20, "even", eta, res.y_star, 3.0)
     assert abs(second - exact) < 0.2 * abs(first - exact)
 
 

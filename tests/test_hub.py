@@ -65,6 +65,8 @@ def test_outcome_properties():
     assert Outcome((5,)).pairs == 2
     with pytest.raises(DomainError):
         Outcome((-1, 2))
+    with pytest.raises(DomainError):
+        Outcome(())
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,8 +195,9 @@ def _window_bound(parity, m, y):
 @pytest.mark.parametrize("m", [0, 5, 45])
 @pytest.mark.parametrize("y", [1e-8, 0.3, 0.49, 0.4995, 0.4999])
 def test_automatic_window_is_the_tail_bound(parity, m, y, monkeypatch):
-    # windows reach 616,096 levels; keep the grown ln n! table out of later tests
-    monkeypatch.setattr(logreal, "_LOG_FACTORIALS", logreal._LOG_FACTORIALS)
+    # windows reach 616,096 levels; start from the one-entry ln n! table and
+    # keep the grown one out of later tests
+    monkeypatch.setattr(logreal, "_LOG_FACTORIALS", np.zeros(1))
     state = heralded_state(parity, m, y)
     assert state.cutoff == _window_bound(parity, m, y)
     state.check_tail()

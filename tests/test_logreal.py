@@ -41,13 +41,16 @@ def test_quotient_matches_float(a, b):
     assert got == pytest.approx(a / b, rel=REL)
 
 
-def test_scalar_coercion():
+def test_mixing_with_numbers_is_type_error():
+    # LogReal multiplies and divides only LogReals
     x = LogReal.from_float(3.0)
-    assert (x * 2).to_float() == pytest.approx(6.0, rel=REL)
-    assert (2 * x).to_float() == pytest.approx(6.0, rel=REL)
-    assert (x / 2.0).to_float() == pytest.approx(1.5, rel=REL)
-    with pytest.raises(TypeError):
-        x * "two"
+    for other in (2, 2.0, np.float64(2.0), "two"):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+        with pytest.raises(TypeError):
+            x / other
 
 
 def test_overflowing_magnitude_becomes_inf():
@@ -66,7 +69,9 @@ def _check_log_factorials(ns):
         assert abs(value - want) <= 1e-13 * max(1.0, want)
 
 
-def test_log_factorial_small_values_exact():
+def test_log_factorial_small_values_exact(monkeypatch):
+    # start from the one-entry table, whatever earlier tests grew it to
+    monkeypatch.setattr(logreal, "_LOG_FACTORIALS", np.zeros(1))
     _check_log_factorials(list(range(0, 51)))
     # an argument past the memo table makes it grow; old entries stay put
     size = len(logreal._LOG_FACTORIALS)
@@ -74,6 +79,27 @@ def test_log_factorial_small_values_exact():
     _check_log_factorials([size, size + 7, 3 * size])
     assert len(logreal._LOG_FACTORIALS) > 3 * size
     assert np.array_equal(log_factorials(np.arange(size)), before)
+    with pytest.raises(ValueError):
+        log_factorials([-1])
+
+
+def test_log_factorial_growth_computes_only_new_entries(monkeypatch):
+    monkeypatch.setattr(logreal, "_LOG_FACTORIALS", np.zeros(1))
+    log_factorials(np.arange(100))
+    before = logreal._LOG_FACTORIALS.copy()
+    calls = []
+    lgamma = math.lgamma
+
+    def counted(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    log_factorials([2 * len(before) + 5])
+    size = len(logreal._LOG_FACTORIALS)
+    assert size >= 2 * len(before)
+    assert len(calls) == size - len(before)
+    assert logreal._LOG_FACTORIALS[: len(before)].tobytes() == before.tobytes()
 
 
 def test_log_factorial_ratio_identity():

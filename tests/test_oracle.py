@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from cathub.fock import parity_of
 from cathub.hub import HubConfig, Outcome, heralded_amps
 from cathub.logreal import logreal_sum_logs
 from cathub.oracle import (
-    TwoModeState,
-    apply_splitter,
     bs_matrix_element,
     equivalence_grid,
     lossy_fidelity_mixture,
@@ -68,6 +67,47 @@ def test_transmittance_validation():
         bs_matrix_element(0.0, 1, 0, 1, 0)
     with pytest.raises(DomainError):
         bs_matrix_element(1.1, 1, 0, 1, 0)
+
+
+@dataclass(frozen=True)
+class TwoModeState:
+    """Amplitudes over (signal, ancilla) photon pairs; rows index the signal."""
+
+    amps: np.ndarray
+
+    @property
+    def signal_span(self) -> int:
+        return self.amps.shape[0] - 1
+
+    @property
+    def ancilla_span(self) -> int:
+        return self.amps.shape[1] - 1
+
+    def norm_sq(self) -> float:
+        return float(np.sum(self.amps * self.amps))
+
+
+def apply_splitter(state: TwoModeState, t: float) -> TwoModeState:
+    """Full two-mode splitter action on an amplitude grid, the reference for
+    the vacuum-ancilla shortcut _project_splitter.
+
+    Cubic cost in the span.  Components that conservation would push beyond
+    the stored grid are dropped, so leave enough headroom in the input.
+    """
+    amps = state.amps
+    rows, cols = amps.shape
+    out = np.zeros((rows, cols))
+    for q in range(rows):
+        for v in range(cols):
+            a = amps[q, v]
+            if a == 0.0:
+                continue
+            for p in range(q + v + 1):
+                w = q + v - p
+                if p >= rows or w >= cols:
+                    continue
+                out[p, w] += a * bs_matrix_element(t, q, v, p, w)
+    return TwoModeState(out)
 
 
 def test_full_two_mode_action_matches_projection_shortcut():

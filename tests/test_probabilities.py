@@ -142,6 +142,8 @@ def test_conditional_validates_arguments():
         conditional_prob(cfg, 3, 1, prior=(1, 1))
     with pytest.raises(DomainError):
         conditional_prob(cfg, 2, 1, prior=())
+    with pytest.raises(DomainError):
+        conditional_prob(cfg, 1, -1)
 
 
 def test_conditional_transparent_first_tap():
@@ -160,6 +162,9 @@ def test_demux_examples():
     )
     with_t = demux_ratio(Outcome((10, 10)), 0.8).to_float()
     assert with_t == pytest.approx(184756.0 * 0.8 ** (-20), rel=1e-12)
+    for t in (0.0, 1.5):
+        with pytest.raises(DomainError):
+            demux_ratio(Outcome((1, 1)), t)
 
 
 def test_multinomial_factor_exact_integers():
