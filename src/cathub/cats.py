@@ -105,7 +105,7 @@ def mean_photon(parity: str, n_subtracted: int, y: float) -> float:
     return y * ratio.to_float()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptResult:
     """Result of the herald-parameter search."""
 

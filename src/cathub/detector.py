@@ -52,7 +52,7 @@ def _check_eta(eta: float) -> None:
         raise DomainError(f"detector efficiency must lie in (0, 1], got {eta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PovmElement:
     """Diagonal POVM element of a lossy photon-number detector.
 
@@ -239,7 +239,10 @@ def lossy_fidelity_secondorder(
     rf = reduction_factor(t_product_sq, mean_n)
     mean_other = mean_photon(parity_of(N + 1), N + 1, y)
     target = cat_state(beta, parity)
-    overlap_ratio = _cat_overlap(parity, N // 2 + 1, y, target) / _cat_overlap(parity, N // 2, y, target)
+    overlap = _cat_overlap(parity, N // 2, y, target)
+    if overlap == 0.0:
+        raise DomainError(f"the {N}-photon heralded state's overlap with the beta = {beta} cat underflows to 0")
+    overlap_ratio = _cat_overlap(parity, N // 2 + 1, y, target) / overlap
     # (1/2) rf (1-T)/T (2 <n> - <n'> (1 - F_(N+2) / F_N))
     f2 = 0.5 * rf * reduction_factor(
         t_product_sq, 2.0 * mean_n - mean_other * (1.0 - overlap_ratio)
@@ -264,7 +267,7 @@ def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> Lo
     return ideal * LogReal.from_float(eta**reported) * LogReal.from_float(gain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeoffProduct:
     """Both routes to the fidelity-probability trade-off invariant."""
 

@@ -50,7 +50,7 @@ def photon_offset(parity: str) -> int:
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FockVector:
     """Real amplitudes over a single photon-parity sector.
 

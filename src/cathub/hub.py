@@ -47,7 +47,7 @@ def chain_transmission(transmittances) -> float:
     return math.prod(t * t for t in transmittances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HubConfig:
     """Source squeezing plus the transmittance chain of the hub.
 
@@ -108,7 +108,7 @@ class HubConfig:
         return cls(math.atanh(tanh_s), ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """Photon counts registered by the detectors, one per splitter."""
 

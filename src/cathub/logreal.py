@@ -16,7 +16,7 @@ import numpy as np
 __all__ = ["LogReal", "log_factorials", "logreal_sum", "logreal_sum_logs"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogReal:
     """A real number stored as a sign and the natural log of its magnitude.
 

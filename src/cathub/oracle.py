@@ -205,7 +205,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     """Worst-case deviations of the brute-force route from the analytic one."""
 

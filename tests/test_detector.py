@@ -139,6 +139,13 @@ def test_secondorder_closes_most_of_the_gap():
     assert abs(second - exact) < 0.2 * abs(first - exact)
 
 
+def test_secondorder_underflowed_overlap_is_domain_error():
+    # the 400-photon state at y = 0.45 has no overlap with a beta = 0.5 cat
+    # in double precision; the ratio would be 0/0
+    with pytest.raises(DomainError, match="400-photon heralded state's overlap"):
+        lossy_fidelity_secondorder(0.81, 400, "even", 0.95, 0.45, 0.5)
+
+
 def test_hub_penalty_monotonicity():
     t1 = 0.9
     base = (1.0 - t1**2) / t1**2
@@ -213,7 +220,7 @@ def test_loss_walk_stops_at_first_zero_on_transparent_tap(monkeypatch):
 def test_loss_walk_raises_at_its_cap():
     # at eta = 0.001 the branch masses peak near j = 1500 and are still
     # close to that peak at the cap of 2000 branches
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="hit its cap of 2000 at j = 2002"):
         lossy_prob(HubConfig(8.0, (0.9,)), 1, "even", 0.001)
 
 
