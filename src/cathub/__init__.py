@@ -13,7 +13,6 @@ from .detector import (
     TradeoffProduct,
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
-    lossy_fidelity_secondorder,
     lossy_prob,
     lossy_prob_firstorder,
     povm_element,
@@ -43,7 +42,6 @@ from .probabilities import (
     demux_ratio,
     joint_success_prob,
     multinomial_factor,
-    success_prob_single,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,6 @@ __all__ = [
     "logreal_sum_logs",
     "lossy_fidelity_exact",
     "lossy_fidelity_firstorder",
-    "lossy_fidelity_secondorder",
     "lossy_fidelity_mixture",
     "lossy_prob",
     "lossy_prob_firstorder",
@@ -87,6 +84,5 @@ __all__ = [
     "reduction_factor",
     "simulate_hub",
     "simulate_lossy",
-    "success_prob_single",
     "tradeoff_product",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import FockVector, genfunc_derivative, inner_product, photon_offset
-from .hub import _check_open_y, heralded_amps
+from .hub import _check_count, _check_open_y, heralded_amps
 from .logreal import log_factorials
 
 __all__ = ["OptResult", "cat_state", "fidelity", "mean_photon", "optimal_y"]
@@ -76,7 +76,7 @@ def fidelity(a: FockVector, b: FockVector) -> float:
 
 
 def _check_subtracted(parity: str, n_subtracted: int) -> None:
-    if n_subtracted < 0 or n_subtracted % 2 != photon_offset(parity):
+    if _check_count(n_subtracted, "subtracted count") % 2 != photon_offset(parity):
         raise DomainError(
             f"subtracted count {n_subtracted} does not match parity {parity!r}"
         )

@@ -1,27 +1,33 @@
 """Imperfect photon-number detection.
 
 Binomial-loss POVM elements, the exact lossy fidelity and heralding
-probability for a chain of any length, the first-order expansions in
-detector inefficiency with the second-order fidelity term
-(lossy_fidelity_secondorder), and the fidelity-probability trade-off
-product.
+probability for a chain of any length, their first-order expansions in
+detector inefficiency, and the fidelity-probability trade-off product.
 
 A chain of k splitters with lossy detectors on every tap is exactly its
-one-tap equivalent with t = prod t_i (_one_tap): summed over the splits of
-N photons across the taps, the tap weights a_l = (1 - t_l^2)/t_l^2 y_l give
-A^N/N! with A = sum a_l = (1 - T)/T y_k, the weight of one tap with
-t^2 = T; the per-tap binomial losses sum to one loss on the total; and the
-heralded state depends only on N and y_k.  So lossy_prob is the
-probability that the reported counts sum to the given total, and
-lossy_fidelity_exact the fidelity after any split of it.
+one-tap equivalent with t = prod t_i: summed over the splits of N photons
+across the taps, the tap weights a_l = (1 - t_l^2)/t_l^2 y_l give A^N/N!
+with A = sum a_l = (1 - T)/T y_k, the weight of one tap with t^2 = T; the
+per-tap binomial losses sum to one loss on the total; and the heralded
+state depends only on N and y_k.  So lossy_prob is the probability that
+the reported counts sum to the given total, and lossy_fidelity_exact the
+fidelity after any split of it.
 
-A detector of efficiency eta that reports count n may have been hit by any
-true count j >= n, with weight C(j, n) eta^n (1-eta)^(j-n); the conditional
-state is then a mixture over these loss branches, whose log masses are
-summed as one float array.  Branches whose true count has the opposite
-parity overlap the target cat with weight zero but still carry
-probability, which is exactly what produces the first-order fidelity
-penalty.
+A detector of efficiency eta is an ideal one behind a splitter of
+transmittance eta whose other port is traced out, just like the mode a tap
+transmits.  So the counts it reports behind a tap with t^2 = T are exactly
+the counts an ideal detector reports behind one tap with
+
+    t_eff^2 = T + (1 - eta)(1 - T)                     (_equivalent_tap),
+
+and lossy_prob is one ideal joint_success_prob on that hub.  The state is
+another matter: the missed photons leave a mixture.  A detector that
+reports count n may have been hit by any true count j >= n, with weight
+C(j, n) eta^n (1-eta)^(j-n); lossy_fidelity_exact walks these loss branches
+(_loss_branches) and sums their log masses as one float array.  Branches
+whose true count has the opposite parity overlap the target cat with
+weight zero but still carry probability, which is exactly what produces
+the first-order fidelity penalty.
 
 At first order in 1-eta everything hangs on one number, the reduction
 factor rf = (1-T)/T <n> of a chain with squared transmittance product T:
@@ -38,8 +44,8 @@ import numpy as np
 from .cats import _cat_overlap, cat_state, mean_photon
 from .errors import DomainError, TruncationError
 from .fock import parity_of, photon_offset
-from .hub import HubConfig, Outcome, chain_transmission
-from .logreal import LogReal, log_factorials, logreal_sum_logs
+from .hub import HubConfig, Outcome, _check_count, chain_transmission
+from .logreal import LogReal, log_factorials
 from .probabilities import joint_success_prob
 
 _BRANCH_EPS = 1e-16
@@ -64,6 +70,15 @@ class PovmElement:
     eta: float
     weights: np.ndarray
 
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=np.float64)
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+
+    def __reduce__(self):
+        # through the constructor, so that a copy keeps read-only weights
+        return PovmElement, (self.reported_count, self.eta, self.weights)
+
     def weight(self, true_count: int) -> float:
         if true_count < 0 or true_count >= len(self.weights):
             return 0.0
@@ -72,14 +87,12 @@ class PovmElement:
 
 def povm_element(m: int, eta: float, cutoff: int) -> PovmElement:
     """Reported-count-m POVM element on true counts 0..cutoff."""
-    if m < 0:
-        raise DomainError(f"reported count must be >= 0, got {m}")
+    m = _check_count(m, "reported count")
     if cutoff < m:
         raise DomainError(f"cutoff {cutoff} smaller than reported count {m}")
     _check_eta(eta)
     w = np.zeros(cutoff + 1)
     w[m:] = np.exp(_branch_weight_log(m, np.arange(m, cutoff + 1), eta))
-    w.setflags(write=False)
     return PovmElement(m, eta, w)
 
 
@@ -98,15 +111,21 @@ def _branch_weight_log(reported, true_count, eta: float) -> np.ndarray:
     )
 
 
-def _one_tap(cfg: HubConfig) -> HubConfig:
-    """The one-tap hub with t = prod t_i, exact for every total-count quantity."""
-    return HubConfig(cfg.squeezing, (math.prod(cfg.transmittances),))
+def _equivalent_tap(cfg: HubConfig, eta: float) -> HubConfig:
+    """The one-tap hub whose ideal detector reports what efficiency-eta ones report on cfg.
+
+    t_eff = sqrt(t^2 + (1 - eta)(1 - t^2)) with t = prod t_i.  At eta = 1
+    this is the one-tap equivalent with t itself, since sqrt(t * t) == t in
+    binary floating point; that hub is exact for every total-count
+    quantity of an ideal detector.
+    """
+    t = math.prod(cfg.transmittances)
+    t_sq = t * t
+    return HubConfig(cfg.squeezing, (math.sqrt(t_sq + (1.0 - eta) * (1.0 - t_sq)),))
 
 
 def _reported_count(m: int, parity: str) -> int:
-    if m < 0:
-        raise DomainError(f"pair count m must be >= 0, got {m}")
-    return 2 * m + photon_offset(parity)
+    return 2 * _check_count(m, "pair count m") + photon_offset(parity)
 
 
 def _loss_branches(cfg: HubConfig, reported: int, eta: float):
@@ -145,14 +164,17 @@ def lossy_prob(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
     """Exact probability that lossy detectors report 2m or 2m+1 photons.
 
     On a chain of k taps this is the probability that the reported counts
-    sum to 2m (+1).  Sums the ideal probability of every true count
-    j >= reported against the binomial retention weight; both parities of
-    j contribute.
+    sum to 2m (+1).  Detectors of efficiency eta behind taps with squared
+    transmittance product T report exactly what an ideal detector reports
+    behind one tap with t^2 = T + (1 - eta)(1 - T): the photons they miss
+    are traced out like the transmitted ones.  So this is one
+    joint_success_prob on that hub; it equals the sum over true counts
+    j >= reported of the binomial retention weight times the ideal
+    probability of j, both parities of j included.
     """
     reported = _reported_count(m, parity)
     _check_eta(eta)
-    _, log_masses = _loss_branches(_one_tap(cfg), reported, eta)
-    return logreal_sum_logs(log_masses)
+    return joint_success_prob(_equivalent_tap(cfg, eta), Outcome((reported,)))
 
 
 def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> float:
@@ -165,9 +187,8 @@ def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> flo
     probability but zero overlap.  Raises DomainError when no true count
     can be reported as m at this hub.
     """
-    cfg = _one_tap(cfg)
-    if m < 0:
-        raise DomainError(f"reported count must be >= 0, got {m}")
+    cfg = _equivalent_tap(cfg, 1.0)
+    m = _check_count(m, "reported count")
     _check_eta(eta)
     parity = parity_of(m)
     target = cat_state(beta, parity)
@@ -225,39 +246,19 @@ def lossy_fidelity_firstorder(t_product_sq: float, N: int, parity: str, eta: flo
     return _first_order(eta, rf).multiplier
 
 
-def lossy_fidelity_secondorder(
-    t_product_sq: float, N: int, parity: str, eta: float, y: float, beta: float
-) -> float:
-    """The first-order multiplier plus its (1-eta)^2 correction.
-
-    The correction needs the cat amplitude beta to form the overlap ratio
-    of the (N+2)- and N-photon heralded states.  Holds for any chain, whose
-    one-tap equivalent has t^2 = T.
-    """
-    _check_eta(eta)
-    mean_n = mean_photon(parity, N, y)
-    rf = reduction_factor(t_product_sq, mean_n)
-    mean_other = mean_photon(parity_of(N + 1), N + 1, y)
-    target = cat_state(beta, parity)
-    overlap = _cat_overlap(parity, N // 2, y, target)
-    if overlap == 0.0:
-        raise DomainError(f"the {N}-photon heralded state's overlap with the beta = {beta} cat underflows to 0")
-    overlap_ratio = _cat_overlap(parity, N // 2 + 1, y, target) / overlap
-    # (1/2) rf (1-T)/T (2 <n> - <n'> (1 - F_(N+2) / F_N))
-    f2 = 0.5 * rf * reduction_factor(
-        t_product_sq, 2.0 * mean_n - mean_other * (1.0 - overlap_ratio)
-    )
-    return _first_order(eta, rf).multiplier + (1.0 - eta) ** 2 * f2
-
-
 def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
     """First-order lossy heralding probability of the reported total 2m (+1).
 
     eta^N * ideal * (1 + (1-eta)(1-T)/T <n>), with ideal the probability of
-    the total on the one-tap equivalent; the expansion whose gap from
-    lossy_prob shrinks quadratically in (1-eta).
+    the total N on the one-tap equivalent; the expansion whose gap from
+    lossy_prob shrinks quadratically in (1-eta).  It is the first Taylor
+    term of lossy_prob's equivalent tap: with y = T y0, that tap ends at
+    y + c, c = (1-eta)(1-T) y0, and its probability is
+    eta^N * ideal * g^(N)(y + c) / g^(N)(y).  g^(N)(y + c) ~ g^(N)(y) +
+    c g^(N+1)(y) and <n> = y g^(N+1)(y) / g^(N)(y) give exactly
+    1 + (1-eta) rf.
     """
-    cfg = _one_tap(cfg)
+    cfg = _equivalent_tap(cfg, 1.0)
     reported = _reported_count(m, parity)
     _check_eta(eta)
     ideal = joint_success_prob(cfg, Outcome((reported,)))
@@ -274,8 +275,6 @@ class TradeoffProduct:
     penalty: float
     closed_form: LogReal
     from_multipliers: LogReal
-    delta_fidelity: float
-    delta_prob: LogReal
 
 
 def tradeoff_product(
@@ -300,10 +299,4 @@ def tradeoff_product(
     closed = prob_ideal * LogReal.from_float(first.penalty * fid_ideal)
     delta_f = fid_ideal * first.load
     delta_p = prob_ideal * LogReal.from_float(first.load)
-    return TradeoffProduct(
-        penalty=first.penalty,
-        closed_form=closed,
-        from_multipliers=delta_p * LogReal.from_float(delta_f),
-        delta_fidelity=delta_f,
-        delta_prob=delta_p,
-    )
+    return TradeoffProduct(first.penalty, closed, delta_p * LogReal.from_float(delta_f))

@@ -70,6 +70,11 @@ class FockVector:
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
 
+    def __reduce__(self):
+        # through the constructor, so that a pickled or deep-copied vector
+        # keeps its read-only amplitudes
+        return FockVector, (self.parity, self.amps)
+
     @property
     def cutoff(self) -> int:
         return len(self.amps) - 1

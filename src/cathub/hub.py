@@ -18,6 +18,7 @@ detection record is probabilities.joint_success_prob.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,21 @@ __all__ = [
     "heralded_amps",
     "chain_transmission",
 ]
+
+
+def _check_count(n, what: str) -> int:
+    """n as a Python int, or DomainError unless it is an integer >= 0.
+
+    Python and numpy integers pass; a float such as 1.7 is rejected rather
+    than truncated.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise DomainError(f"{what} must be >= 0, got {n}")
+    return n
 
 
 def chain_transmission(transmittances) -> float:
@@ -115,12 +131,9 @@ class Outcome:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(n) for n in self.counts)
+        cs = tuple(_check_count(n, "photon counts") for n in self.counts)
         if len(cs) == 0:
             raise DomainError("an outcome needs at least one count")
-        for n in cs:
-            if n < 0:
-                raise DomainError(f"photon counts must be >= 0, got {n}")
         object.__setattr__(self, "counts", cs)
 
     @property
@@ -185,8 +198,7 @@ def heralded_amps(parity: str, m: int, y, n_max: int) -> np.ndarray:
     state's support still carries exact amplitudes.
     """
     off = photon_offset(parity)
-    if m < 0:
-        raise DomainError(f"pair count m must be >= 0, got {m}")
+    m = _check_count(m, "pair count m")
     y = np.asarray(y, dtype=np.float64)
     _check_open_y(y)
     order = 2 * m + off

@@ -45,10 +45,6 @@ class LogReal:
     def zero(cls) -> "LogReal":
         return cls(0, 0.0)
 
-    @classmethod
-    def one(cls) -> "LogReal":
-        return cls(1, 0.0)
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0

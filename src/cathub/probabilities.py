@@ -1,32 +1,22 @@
 """Ideal-detector heralding probabilities for the splitter cascade.
 
-Joint, single-splitter, and conditional outcome probabilities, plus the
-closed-form gain of splitting one large count across several detectors.
-Everything that can underflow is carried as LogReal; conditionals are O(1)
-and returned as plain floats.
+Joint and conditional outcome probabilities, plus the closed-form gain of
+splitting one large count across several detectors.  Everything that can
+underflow is carried as LogReal; conditionals are O(1) and returned as
+plain floats.
 """
 
 import math
 
 from .errors import DomainError
-from .fock import genfunc_derivative, photon_offset
-from .hub import HubConfig, Outcome
+from .fock import genfunc_derivative
+from .hub import HubConfig, Outcome, _check_count
 from .logreal import LogReal
 
 
 def _log_tap_weight(t: float, y: float, n: int) -> float:
     # ln(((1 - t^2)/t^2 y)^n / n!): the weight of tapping n photons at one splitter
     return n * (math.log1p(-t * t) - 2.0 * math.log(t) + math.log(y)) - math.lgamma(n + 1)
-
-
-def success_prob_single(m: int, parity: str, t1: float, s: float) -> LogReal:
-    """Probability that one splitter's detector reports 2m (even) or 2m+1 (odd).
-
-    The one-tap case of joint_success_prob.
-    """
-    if m < 0:
-        raise DomainError(f"pair count m must be >= 0, got {m}")
-    return joint_success_prob(HubConfig(s, (t1,)), Outcome((2 * m + photon_offset(parity),)))
 
 
 def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
@@ -66,9 +56,8 @@ def conditional_prob(
             f"prior must list {index - 1} counts for splitter {index}, "
             f"got {len(prior)}"
         )
-    if count < 0 or any(n < 0 for n in prior):
-        raise DomainError("photon counts must be nonnegative")
-    seen = sum(prior)
+    count = _check_count(count, "photon counts")
+    seen = sum(_check_count(n, "photon counts") for n in prior)
     t_i = cfg.transmittances[index - 1]
     y_i = cfg.y_chain[index - 1]
     y_prev = cfg.y0 if index == 1 else cfg.y_chain[index - 2]

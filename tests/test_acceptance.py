@@ -30,7 +30,6 @@ from cathub.probabilities import (
     demux_ratio,
     joint_success_prob,
     multinomial_factor,
-    success_prob_single,
 )
 
 BETA_GRID = [round(0.5 + 0.25 * i, 2) for i in range(23)]  # 0.5 .. 6.0
@@ -289,9 +288,8 @@ def test_acceptance_8_normalisation_suites(capsys):
         for n2 in range(49 - n1):
             total += joint_success_prob(cfg, Outcome((n1, n2))).to_float()
     single = sum(
-        success_prob_single(m, p, 0.9, 0.8).to_float()
-        for m in range(25)
-        for p in ("even", "odd")
+        joint_success_prob(HubConfig(0.8, (0.9,)), Outcome((n,))).to_float()
+        for n in range(50)
     )
     sums_ok = total >= 1.0 - 1e-8 and single >= 1.0 - 1e-8
 

@@ -133,6 +133,10 @@ def test_optimal_y_rejects_bad_requests():
         optimal_y("even", 21, 3.0)  # parity mismatch
     with pytest.raises(DomainError):
         optimal_y("odd", 7, 0.0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        optimal_y("even", 20.0, 3.0)  # a float count is not truncated
+    with pytest.raises(DomainError, match="must be an integer"):
+        mean_photon("odd", 7.0, 0.3)
 
 
 def test_heralded_overlap_peaks_near_reported_optimum():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cathub.cats import optimal_y
 from cathub.detector import (
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
-    lossy_fidelity_secondorder,
     lossy_prob,
     lossy_prob_firstorder,
     povm_element,
@@ -19,7 +19,8 @@ from cathub.detector import (
 )
 from cathub.errors import DomainError, TruncationError
 from cathub.hub import HubConfig, Outcome
-from cathub.probabilities import success_prob_single
+from cathub.logreal import logreal_sum_logs
+from cathub.probabilities import joint_success_prob
 
 
 def test_povm_weight_example():
@@ -80,7 +81,7 @@ def test_lossless_limits():
     res = optimal_y("even", 10, 2.5)
     cfg = HubConfig.from_target_y(res.y_star, (0.9,))
     assert lossy_prob(cfg, 5, "even", 1.0).to_float() == pytest.approx(
-        success_prob_single(5, "even", 0.9, cfg.squeezing).to_float(), rel=1e-13
+        joint_success_prob(cfg, Outcome((10,))).to_float(), rel=1e-13
     )
     assert lossy_fidelity_exact(cfg, 10, 1.0, 2.5) == pytest.approx(
         res.fidelity, rel=1e-10
@@ -94,7 +95,7 @@ def test_lossy_fidelity_multiplier_below_one_prob_above():
     for eta in (0.9, 0.95, 0.99):
         fid_mult = lossy_fidelity_exact(cfg, 10, eta, 2.5) / res.fidelity
         prob_mult = (
-            lossy_prob(cfg, 5, "even", eta) / success_prob_single(5, "even", 0.9, cfg.squeezing)
+            lossy_prob(cfg, 5, "even", eta) / joint_success_prob(cfg, Outcome((10,)))
         ).to_float() / eta**10
         assert fid_mult < 1.0
         assert prob_mult > 1.0
@@ -127,23 +128,6 @@ def test_gap_shrinks_quadratically():
         gaps.append(abs(exact - first))
     # halving (1-eta) should shrink the gap by about 4
     assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.6)
-
-
-def test_secondorder_closes_most_of_the_gap():
-    res = optimal_y("even", 20, 3.0)
-    cfg = HubConfig.from_target_y(res.y_star, (0.95,))
-    eta = 0.95
-    exact = lossy_fidelity_exact(cfg, 20, eta, 3.0) / res.fidelity
-    first = lossy_fidelity_firstorder(0.95**2, 20, "even", eta, res.y_star)
-    second = lossy_fidelity_secondorder(0.95**2, 20, "even", eta, res.y_star, 3.0)
-    assert abs(second - exact) < 0.2 * abs(first - exact)
-
-
-def test_secondorder_underflowed_overlap_is_domain_error():
-    # the 400-photon state at y = 0.45 has no overlap with a beta = 0.5 cat
-    # in double precision; the ratio would be 0/0
-    with pytest.raises(DomainError, match="400-photon heralded state's overlap"):
-        lossy_fidelity_secondorder(0.81, 400, "even", 0.95, 0.45, 0.5)
 
 
 def test_hub_penalty_monotonicity():
@@ -197,9 +181,8 @@ def test_lossy_fidelity_exact_needs_reachable_count():
     assert lossy_prob(cfg, 2, "even", 0.9).is_zero()
 
 
-def test_loss_walk_stops_at_first_zero_on_transparent_tap(monkeypatch):
-    # at t = 1 every count above zero has no probability, so the walk needs
-    # one joint-probability call, not one per branch up to the cap
+def _counting_joint(monkeypatch) -> list:
+    """Record the counts of every joint_success_prob call made by detector."""
     calls = []
     real = detector.joint_success_prob
 
@@ -208,20 +191,88 @@ def test_loss_walk_stops_at_first_zero_on_transparent_tap(monkeypatch):
         return real(cfg, outcome)
 
     monkeypatch.setattr(detector, "joint_success_prob", counted)
+    return calls
+
+
+def test_loss_walk_stops_at_first_zero_on_transparent_tap(monkeypatch):
+    # at t = 1 every count above zero has no probability, so the walk needs
+    # one joint-probability call, not one per branch up to the cap
+    calls = _counting_joint(monkeypatch)
     cfg = HubConfig(0.8, (1.0,))
-    assert lossy_prob(cfg, 22, "odd", 0.98).is_zero()
+    with pytest.raises(DomainError, match="carries no probability"):
+        lossy_fidelity_exact(cfg, 45, 0.98, 2.0)
     assert calls == [(45,)]
     calls.clear()
-    # count 0 is certain and count 1 already has no probability
-    assert lossy_prob(cfg, 0, "even", 0.98).to_float() == pytest.approx(1.0, rel=1e-12)
+    # count 0 is certain and count 1 already has no probability, so the
+    # mixture is the lossless vacuum-heralded state
+    lossy = lossy_fidelity_exact(cfg, 0, 0.98, 2.0)
     assert calls == [(0,), (1,)]
+    assert lossy == lossy_fidelity_exact(cfg, 0, 1.0, 2.0)
 
 
 def test_loss_walk_raises_at_its_cap():
     # at eta = 0.001 the branch masses peak near j = 1500 and are still
     # close to that peak at the cap of 2000 branches
     with pytest.raises(TruncationError, match="hit its cap of 2000 at j = 2002"):
-        lossy_prob(HubConfig(8.0, (0.9,)), 1, "even", 0.001)
+        lossy_fidelity_exact(HubConfig(8.0, (0.9,)), 2, 0.001, 1.0)
+
+
+def _walked_prob(cfg, reported, eta):
+    _, log_masses = detector._loss_branches(detector._equivalent_tap(cfg, 1.0), reported, eta)
+    return logreal_sum_logs(log_masses)
+
+
+def test_lossy_prob_matches_loss_walk():
+    # the equivalent tap t_eff^2 = T + (1 - eta)(1 - T) against the sum over
+    # true counts of retention weight times ideal probability
+    rng = random.Random(20221216)
+    for _ in range(24):
+        taps = tuple(rng.uniform(0.75, 0.99) for _ in range(rng.randint(1, 3)))
+        cfg = HubConfig(math.atanh(2.0 * rng.uniform(0.05, 0.48)), taps)  # y0 = tanh(s)/2
+        reported = rng.randrange(120)
+        eta = rng.uniform(0.5, 1.0)
+        got = lossy_prob(cfg, reported // 2, "odd" if reported % 2 else "even", eta)
+        assert got.log_mag == pytest.approx(_walked_prob(cfg, reported, eta).log_mag, abs=1e-11)
+
+
+def test_lossy_prob_needs_no_branch_cap(monkeypatch):
+    # at eta = 0.005 the walk needs about 3,000 branches, past its cap
+    cfg = HubConfig(3.5, (0.9,))
+    with pytest.raises(TruncationError):
+        _walked_prob(cfg, 2, 0.005)
+    monkeypatch.setattr(detector, "_BRANCH_CAP", 20_000)
+    walked = _walked_prob(cfg, 2, 0.005)
+    assert lossy_prob(cfg, 1, "even", 0.005).log_mag == pytest.approx(walked.log_mag, abs=1e-11)
+
+
+def test_lossy_prob_is_one_joint_call(monkeypatch):
+    calls = _counting_joint(monkeypatch)
+    cfg = HubConfig(0.9, (0.9, 0.95))
+    for eta in (0.01, 0.5, 0.98, 1.0):
+        calls.clear()
+        lossy_prob(cfg, 7, "odd", eta)
+        assert calls == [(15,)]
+
+
+def test_equivalent_tap_is_the_chain_product_when_lossless():
+    # sqrt(t * t) == t, so the lossless equivalent tap is exactly prod t_i
+    rng = random.Random(7)
+    for _ in range(200):
+        taps = tuple(rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 3)))
+        cfg = HubConfig(0.7, taps)
+        assert detector._equivalent_tap(cfg, 1.0).transmittances == (math.prod(taps),)
+
+
+def test_fractional_counts_are_domain_errors():
+    cfg = HubConfig(0.8, (0.9,))
+    with pytest.raises(DomainError, match="must be an integer"):
+        lossy_prob(cfg, 1.5, "even", 0.9)
+    with pytest.raises(DomainError, match="must be an integer"):
+        lossy_fidelity_exact(cfg, 2.5, 0.9, 1.0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        povm_element(1.5, 0.9, cutoff=5)
+    # numpy integers pass
+    assert lossy_prob(cfg, np.int64(1), "even", 0.9) == lossy_prob(cfg, 1, "even", 0.9)
 
 
 def test_non_finite_reduction_factor_is_domain_error():

@@ -69,6 +69,19 @@ def test_outcome_properties():
         Outcome(())
 
 
+def test_counts_must_be_integers():
+    # a fractional count is rejected, not truncated to its integer part
+    for counts in ((1.7,), (2.9,), (2, 0.5)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            Outcome(counts)
+    with pytest.raises(DomainError, match="must be an integer"):
+        heralded_state("even", 1.5, 0.3)
+    # Python and numpy integers pass and are stored as int
+    out = Outcome((np.int64(3), np.int32(1), 2))
+    assert out.counts == (3, 1, 2) and all(type(n) is int for n in out.counts)
+    assert heralded_state("even", np.int64(1), 0.3).norm() == pytest.approx(1.0, abs=NORM_TOL)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(min_value=0, max_value=30),

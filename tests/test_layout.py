@@ -58,8 +58,13 @@ def test_value_type_is_slotted(name):
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_value_type_survives_pickle_and_deepcopy(name):
     value = VALUES[name]
-    assert _same(pickle.loads(pickle.dumps(value)), value)
-    assert _same(copy.deepcopy(value), value)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert _same(copied, value)
+        # array fields stay read-only in the copy too
+        for f in dataclasses.fields(copied):
+            field_value = getattr(copied, f.name)
+            if isinstance(field_value, np.ndarray):
+                assert not field_value.flags.writeable
 
 
 def test_retained_logreal_is_compact():

@@ -20,7 +20,7 @@ from cathub.oracle import (
     simulate_lossy,
 )
 from cathub.oracle import _compositions, _project_splitter, _smsv_true_basis
-from cathub.probabilities import joint_success_prob, success_prob_single
+from cathub.probabilities import joint_success_prob
 
 
 def test_single_photon_amplitudes():
@@ -135,9 +135,8 @@ def test_two_mode_state_norm_preserved_by_splitter():
 def test_single_splitter_probabilities_match_analytic():
     cfg = HubConfig(0.8, (0.9,))
     for n in range(5):
-        parity = "even" if n % 2 == 0 else "odd"
         _, prob = simulate_hub(cfg, Outcome((n,)), cutoff=40)
-        want = success_prob_single(n // 2, parity, 0.9, 0.8)
+        want = joint_success_prob(cfg, Outcome((n,)))
         assert (prob / want).to_float() == pytest.approx(1.0, rel=1e-10)
 
 

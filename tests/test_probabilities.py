@@ -13,8 +13,11 @@ from cathub.probabilities import (
     demux_ratio,
     joint_success_prob,
     multinomial_factor,
-    success_prob_single,
 )
+
+
+def _single(n: int, t: float, s: float):
+    return joint_success_prob(HubConfig(s, (t,)), Outcome((n,)))
 
 
 def _single_tap_brute(n: int, t: float, s: float, span: int = 260) -> float:
@@ -47,33 +50,23 @@ def _single_tap_brute(n: int, t: float, s: float, span: int = 260) -> float:
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
 def test_single_tap_matches_brute_force(n):
     t, s = 0.9, 0.8
-    parity = "even" if n % 2 == 0 else "odd"
-    got = success_prob_single(n // 2, parity, t, s).to_float()
+    got = _single(n, t, s).to_float()
     assert got == pytest.approx(_single_tap_brute(n, t, s), rel=1e-10)
 
 
 def test_single_tap_transparent_splitter():
-    assert success_prob_single(0, "even", 1.0, 0.5).to_float() == pytest.approx(1.0)
-    assert success_prob_single(1, "even", 1.0, 0.5).is_zero()
-    assert success_prob_single(0, "odd", 1.0, 0.5).is_zero()
+    assert _single(0, 1.0, 0.5).to_float() == pytest.approx(1.0)
+    assert _single(2, 1.0, 0.5).is_zero()
+    assert _single(1, 1.0, 0.5).is_zero()
 
 
 def test_single_tap_decays_in_count():
     t, s = 0.9, 0.6
-    previous = success_prob_single(0, "even", t, s)
+    previous = _single(0, t, s)
     for m in range(1, 6):
-        current = success_prob_single(m, "even", t, s)
+        current = _single(2 * m, t, s)
         assert (current / previous).to_float() < 1.0
         previous = current
-
-
-def test_joint_matches_single_for_one_splitter():
-    cfg = HubConfig(0.8, (0.9,))
-    for n in range(5):
-        parity = "even" if n % 2 == 0 else "odd"
-        a = joint_success_prob(cfg, Outcome((n,))).to_float()
-        b = success_prob_single(n // 2, parity, 0.9, 0.8).to_float()
-        assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_joint_validates_shape():
@@ -144,6 +137,9 @@ def test_conditional_validates_arguments():
         conditional_prob(cfg, 2, 1, prior=())
     with pytest.raises(DomainError):
         conditional_prob(cfg, 1, -1)
+    for count, prior in ((1.5, ()), (1, (0.5,))):
+        with pytest.raises(DomainError, match="must be an integer"):
+            conditional_prob(cfg, len(prior) + 1, count, prior)
 
 
 def test_conditional_transparent_first_tap():
