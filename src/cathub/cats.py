@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_y
 from .fock import FockVector, genfunc_derivative, inner_product, photon_offset
-from .hub import _check_count, _check_open_y, heralded_amps
+from .hub import heralded_amps
 from .logreal import log_factorials
 
 __all__ = ["OptResult", "cat_state", "fidelity", "mean_photon", "optimal_y"]
@@ -100,7 +100,7 @@ def mean_photon(parity: str, n_subtracted: int, y: float) -> float:
     second-moment sum over the state's amplitudes.
     """
     _check_subtracted(parity, n_subtracted)
-    _check_open_y(y)
+    _check_y(y)
     ratio = genfunc_derivative(n_subtracted + 1, y) / genfunc_derivative(n_subtracted, y)
     return y * ratio.to_float()
 

@@ -14,9 +14,9 @@ import functools
 import math
 import sys
 
-from .cats import mean_photon, optimal_y
+from .cats import _check_subtracted, mean_photon, optimal_y
 from .detector import _first_order, lossy_fidelity_exact, reduction_factor
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _check_count, _check_unit
 from .fock import parity_of
 from .hub import HubConfig, Outcome, chain_transmission
 from .probabilities import joint_success_prob
@@ -33,18 +33,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _bounded(kind, low, high=math.inf):
-    """argparse type: parse the flag with kind and require a finite low <= value <= high."""
+def _gated(kind, gate):
+    """argparse type: kind, then gate on the value or each list entry; DomainError is a usage error."""
 
     def parse(text: str):
         value = kind(text)
-        # nan fails the comparison; inf passes it when high is inf
-        if not low <= value <= high or value == math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and lie in [{low}, {high}], got {value}")
+        try:
+            for entry in value if isinstance(value, list) else (value,):
+                gate(entry)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+def _bounded(kind, low, high=math.inf):
+    """argparse type: parse the flag with kind and require a finite low <= value <= high."""
+
+    def gate(value):
+        # nan fails the comparison; inf passes it when high is inf
+        if not low <= value <= high or value == math.inf:
+            raise DomainError(f"must be finite and lie in [{low}, {high}], got {value}")
+
+    return _gated(kind, gate)
 
 
 # most points a start:stop:step range may expand to
@@ -94,8 +107,6 @@ def _parse_counts(text: str) -> list:
         counts = tuple(_parse_ints(entry))
         if len(counts) not in (1, 2):
             raise _UsageError(f"count pattern must have 1 or 2 entries: {entry!r}")
-        if any(c < 0 for c in counts):
-            raise _UsageError(f"negative photon count in {entry!r}")
         out.append(counts)
     if not out:
         raise _UsageError(f"empty counts list: {text!r}")
@@ -121,9 +132,12 @@ def _write_lines(path: str, lines) -> None:
     data = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(data)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(data)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _map_tasks(func, tasks, workers: int) -> list:
@@ -135,19 +149,6 @@ def _map_tasks(func, tasks, workers: int) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, tasks))
-
-
-def _check_count(n: int, parity: str) -> None:
-    if n < 0 or parity_of(n) != parity:
-        raise _UsageError(f"--N count {n} does not have parity {parity!r}")
-
-
-def _parse_transmittances(text: str) -> list:
-    ts = _parse_floats(text)
-    for t in ts:
-        if not 0.0 < t <= 1.0:
-            raise _UsageError(f"transmittance must lie in (0, 1], got {t}")
-    return ts
 
 
 def _fidelity_row(task):
@@ -165,8 +166,11 @@ def _meanphoton_row(task):
 
 def cmd_optimum_sweep(args) -> int:
     """fidelity-sweep and meanphoton-sweep: one row per (N, beta) at optimal y."""
-    for n in args.N:
-        _check_count(n, args.parity)
+    try:
+        for n in args.N:
+            _check_subtracted(args.parity, n)
+    except DomainError as exc:
+        raise _UsageError(f"argument --N: {exc}") from None
     tasks = [(args.parity, n, beta) for n in args.N for beta in args.beta]
     rows = _map_tasks(args.row, tasks, args.workers)
     _write_csv(args.out, args.header, rows, args.precision)
@@ -198,13 +202,6 @@ def cmd_prob_sweep(args) -> int:
 
 
 def cmd_detector_report(args) -> int:
-    for k in args.k:
-        if k < 1:
-            raise _UsageError(f"splitter count --k must be >= 1, got {k}")
-    if not 0.0 < args.eta <= 1.0:
-        raise _UsageError(f"--eta must lie in (0, 1], got {args.eta}")
-    _check_count(args.N, "even")
-
     ref = optimal_y("even", args.N, args.beta)
     rows = []
     summary = []
@@ -265,6 +262,12 @@ def _add_common(sub) -> None:
     )
 
 
+_transmittances = _gated(_parse_floats, lambda t: _check_unit(t, "transmittance"))
+_chain_lengths = _gated(_parse_ints, lambda k: _check_count(k, "splitter count", 1))
+_efficiency = _gated(float, lambda eta: _check_unit(eta, "detector efficiency"))
+_even_count = _gated(int, lambda n: _check_subtracted("even", n))
+
+
 @functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -290,13 +293,11 @@ def build_parser() -> _Parser:
         )
 
     p = sub.add_parser("prob-sweep", help="heralding probability at optimal y")
-    p.add_argument(
-        "--t", type=_parse_transmittances, default="0.8", help="comma list of tap transmittances"
-    )
+    p.add_argument("--t", type=_transmittances, default="0.8", help="comma list of tap transmittances")
     p.add_argument("--beta", type=_parse_floats, default="2:3:0.1", help="target amplitude grid")
     p.add_argument(
         "--counts",
-        type=_parse_counts,
+        type=_gated(_parse_counts, Outcome),  # one Outcome per pattern
         default="10,10",
         help="';'-separated patterns, each 'n1,n2' or a single 'n'",
     )
@@ -304,11 +305,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prob_sweep)
 
     p = sub.add_parser("detector-report", help="loss factors and fidelity multipliers")
-    p.add_argument("--t", type=_parse_transmittances, default="0.9,0.95,0.98", help="tap transmittances")
-    p.add_argument("--k", type=_parse_ints, default="1,2", help="comma list of chain lengths")
-    p.add_argument("--eta", type=float, default=0.98, help="detector efficiency")
+    p.add_argument("--t", type=_transmittances, default="0.9,0.95,0.98", help="tap transmittances")
+    p.add_argument("--k", type=_chain_lengths, default="1,2", help="comma list of chain lengths")
+    p.add_argument("--eta", type=_efficiency, default=0.98, help="detector efficiency")
     p.add_argument("--mean-n", type=_bounded(float, 0.0), default=35.0, help="pinned mean photons")
-    p.add_argument("--N", type=int, default=90, help="reference detected count")
+    p.add_argument("--N", type=_even_count, default=90, help="reference detected count")
     p.add_argument("--beta", type=float, default=6.0, help="reference amplitude")
     _add_common(p)
     p.set_defaults(func=cmd_detector_report)

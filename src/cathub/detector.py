@@ -42,20 +42,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .cats import _cat_overlap, cat_state, mean_photon
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _check_count, _check_unit
 from .fock import parity_of, photon_offset
-from .hub import HubConfig, Outcome, _check_count, chain_transmission
+from .hub import HubConfig, Outcome, chain_transmission
 from .logreal import LogReal, log_factorials
 from .probabilities import joint_success_prob
 
 _BRANCH_EPS = 1e-16
 _BRANCH_RUN = 3
 _BRANCH_CAP = 2000
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"detector efficiency must lie in (0, 1], got {eta}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +83,10 @@ class PovmElement:
 def povm_element(m: int, eta: float, cutoff: int) -> PovmElement:
     """Reported-count-m POVM element on true counts 0..cutoff."""
     m = _check_count(m, "reported count")
+    cutoff = _check_count(cutoff, "cutoff")
     if cutoff < m:
         raise DomainError(f"cutoff {cutoff} smaller than reported count {m}")
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     w = np.zeros(cutoff + 1)
     w[m:] = np.exp(_branch_weight_log(m, np.arange(m, cutoff + 1), eta))
     return PovmElement(m, eta, w)
@@ -173,7 +169,7 @@ def lossy_prob(cfg: HubConfig, m: int, parity: str, eta: float) -> LogReal:
     probability of j, both parities of j included.
     """
     reported = _reported_count(m, parity)
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     return joint_success_prob(_equivalent_tap(cfg, eta), Outcome((reported,)))
 
 
@@ -189,7 +185,7 @@ def lossy_fidelity_exact(cfg: HubConfig, m: int, eta: float, beta: float) -> flo
     """
     cfg = _equivalent_tap(cfg, 1.0)
     m = _check_count(m, "reported count")
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     parity = parity_of(m)
     target = cat_state(beta, parity)
     counts, log_masses = _loss_branches(cfg, m, eta)
@@ -208,10 +204,7 @@ def reduction_factor(t_product_sq: float, mean_n: float) -> float:
     number multiplying (1-eta) in both the fidelity drop and the
     probability gain.
     """
-    if not 0.0 < t_product_sq <= 1.0:
-        raise DomainError(
-            f"squared transmittance product must lie in (0, 1], got {t_product_sq}"
-        )
+    _check_unit(t_product_sq, "squared transmittance product")
     rf = (1.0 - t_product_sq) / t_product_sq * mean_n
     if not math.isfinite(rf):
         raise DomainError(f"reduction factor at T = {t_product_sq} and <n> = {mean_n} is not finite")
@@ -241,7 +234,7 @@ def lossy_fidelity_firstorder(t_product_sq: float, N: int, parity: str, eta: flo
 
     Holds for any chain, whose one-tap equivalent has t^2 = T.
     """
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     rf = reduction_factor(t_product_sq, mean_photon(parity, N, y))
     return _first_order(eta, rf).multiplier
 
@@ -260,7 +253,7 @@ def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> Lo
     """
     cfg = _equivalent_tap(cfg, 1.0)
     reported = _reported_count(m, parity)
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     ideal = joint_success_prob(cfg, Outcome((reported,)))
     mean_n = mean_photon(parity, reported, cfg.y_out)
     rf = reduction_factor(chain_transmission(cfg.transmittances), mean_n)
@@ -287,7 +280,7 @@ def tradeoff_product(
     fidelity and outcome probability, and from_multipliers rebuilds the
     same quantity as deltaF * deltaP from the first-order multipliers.
     """
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     parity = outcome.parity
     y = cfg.y_out
     mean_n = mean_photon(parity, outcome.total, y)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _check_count, _check_y
 from .logreal import LogReal, log_factorials
 
 __all__ = [
@@ -38,7 +38,7 @@ _TAIL_RATIO = 1e-14
 
 
 def parity_of(n: int) -> str:
-    return "even" if n % 2 == 0 else "odd"
+    return "even" if _check_count(n, "photon number") % 2 == 0 else "odd"
 
 
 def photon_offset(parity: str) -> int:
@@ -64,8 +64,10 @@ class FockVector:
     def __post_init__(self):
         photon_offset(self.parity)  # validates the tag
         arr = np.asarray(self.amps, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("amps must be a non-empty 1-D array")
+        with np.errstate(over="ignore"):  # a finite norm keeps every inner product finite
+            ok = arr.ndim == 1 and arr.size > 0 and np.isfinite(arr @ arr)
+        if not ok:
+            raise DomainError("amps must be a non-empty 1-D array with a finite norm")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
@@ -112,11 +114,6 @@ def inner_product(a: FockVector, b: FockVector) -> float:
     return float(np.dot(a.amps[:n], b.amps[:n]))
 
 
-def _check_y(y: np.ndarray) -> None:
-    if not ((0.0 <= y) & (y < 0.5)).all():
-        raise DomainError(f"y must lie in [0, 0.5), got {y}")
-
-
 @functools.lru_cache(maxsize=1024)
 def _legendre_terms(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-order constants (logs, powers) of the Legendre sum, k = 0..order//2.
@@ -154,10 +151,9 @@ def log_genfunc_derivative(order: int, y):
     without cancellation or truncation.  Odd orders vanish at y = 0, where
     -inf is returned.  Raises DomainError outside 0 <= y < 0.5.
     """
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
+    order = _check_count(order, "derivative order")
     y = np.asarray(y, dtype=np.float64)
-    _check_y(y)
+    _check_y(y, with_zero=True)
     logs, powers = _legendre_terms(order)
     log_s = np.log1p(-2.0 * y) + np.log1p(2.0 * y)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -18,12 +18,11 @@ detection record is probabilities.joint_success_prob.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_unit, _check_y
 from .fock import (
     _TAIL_RATIO,
     FockVector,
@@ -43,24 +42,10 @@ __all__ = [
 ]
 
 
-def _check_count(n, what: str) -> int:
-    """n as a Python int, or DomainError unless it is an integer >= 0.
-
-    Python and numpy integers pass; a float such as 1.7 is rejected rather
-    than truncated.
-    """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"{what} must be >= 0, got {n}")
-    return n
-
-
 def chain_transmission(transmittances) -> float:
     """T = prod t_i^2, the squared transmittance product of a chain; y_k = T y0."""
-    return math.prod(t * t for t in transmittances)
+    ts = [_check_unit(t, "transmittance") for t in transmittances]
+    return math.prod(t * t for t in ts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +63,9 @@ class HubConfig:
         # y0 = tanh(s)/2 must stay below 1/2, which tanh rounds to past s ~ 19
         if not (self.squeezing > 0.0 and math.tanh(self.squeezing) < 1.0):
             raise DomainError(f"squeezing must be positive with tanh(s) < 1, got {self.squeezing}")
-        ts = tuple(float(t) for t in self.transmittances)
+        ts = tuple(_check_unit(float(t), "transmittance") for t in self.transmittances)
         if len(ts) == 0:
             raise DomainError("at least one beam splitter is required")
-        for t in ts:
-            if not (0.0 < t <= 1.0):
-                raise DomainError(f"transmittance must lie in (0, 1], got {t}")
         object.__setattr__(self, "transmittances", ts)
         if not self.y_out > 0.0:
             raise DomainError(f"y_k = T y0 underflows to 0 on the chain {ts}")
@@ -154,9 +136,10 @@ class Outcome:
         return self.total // 2
 
 
-def _check_open_y(y) -> None:
-    if not np.all((0.0 < y) & (y < 0.5)):
-        raise DomainError(f"y must lie in (0, 0.5), got {y}")
+def _check_taps(cfg: HubConfig, outcome: Outcome) -> None:
+    """DomainError unless the outcome has one count per splitter of the hub."""
+    if outcome.k != cfg.k:
+        raise DomainError(f"outcome has {outcome.k} counts but the hub has {cfg.k} splitters")
 
 
 # largest automatic heralded-state window; m <= 400 at y <= 0.499 needs at
@@ -199,8 +182,9 @@ def heralded_amps(parity: str, m: int, y, n_max: int) -> np.ndarray:
     """
     off = photon_offset(parity)
     m = _check_count(m, "pair count m")
+    n_max = _check_count(n_max, "cutoff")
     y = np.asarray(y, dtype=np.float64)
-    _check_open_y(y)
+    _check_y(y)
     order = 2 * m + off
     if y.ndim == 0:
         log_z = genfunc_derivative(order, float(y)).log_mag
@@ -232,8 +216,8 @@ def heralded_state(parity: str, m: int, y: float, cutoff: int | None = None) -> 
     """
     if cutoff is None:
         off = photon_offset(parity)
-        _check_open_y(y)
-        cutoff = _herald_window(2 * m + off, off, y)
+        _check_y(y)
+        cutoff = _herald_window(2 * _check_count(m, "pair count m") + off, off, y)
     vec = FockVector(parity, heralded_amps(parity, m, y, cutoff))
     vec.check_tail()
     return vec

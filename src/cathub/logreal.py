@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["LogReal", "log_factorials", "logreal_sum", "logreal_sum_logs"]
 
 
@@ -21,7 +23,7 @@ class LogReal:
     """A real number stored as a sign and the natural log of its magnitude.
 
     sign is -1, 0 or +1; log_mag is ignored (and normalised to 0.0) when
-    sign == 0.
+    sign == 0, and otherwise must not be nan or +inf.
     """
 
     sign: int
@@ -29,16 +31,16 @@ class LogReal:
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0 and self.log_mag != 0.0:
+            raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        if self.sign == 0:
             object.__setattr__(self, "log_mag", 0.0)
+        elif not self.log_mag < math.inf:  # nan fails too
+            raise DomainError(f"magnitude must be finite, got exp({self.log_mag!r})")
 
     @classmethod
     def from_float(cls, x: float) -> "LogReal":
         if x == 0.0:
             return cls(0, 0.0)
-        if math.isnan(x) or math.isinf(x):
-            raise ValueError(f"cannot represent {x!r} as LogReal")
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
     @classmethod
@@ -100,7 +102,7 @@ def log_factorials(n) -> np.ndarray:
     global _LOG_FACTORIALS
     n = np.asarray(n, dtype=np.intp)
     if n.min(initial=0) < 0:
-        raise ValueError("factorial of a negative integer")
+        raise DomainError("factorial of a negative integer")
     top = int(n.max(initial=0))
     old = len(_LOG_FACTORIALS)
     if top >= old:
@@ -133,9 +135,12 @@ def logreal_sum_logs(logs) -> LogReal:
 
     One max-shifted log-sum-exp, so terms that would overflow or underflow
     float64 one by one still add up; an empty or all -inf array sums to 0.
+    Raises DomainError for a nan or +inf log.
     """
     logs = np.asarray(logs, dtype=np.float64)
     top = logs.max(initial=-math.inf)
+    if not top < math.inf:  # nan fails too
+        raise DomainError(f"logs must be below +inf, got {top}")
     if top == -math.inf:
         return LogReal(0, 0.0)
     return LogReal(1, float(top + np.log(np.exp(logs - top).sum())))

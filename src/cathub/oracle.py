@@ -14,30 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _branch_weight_log, _check_eta
-from .errors import DomainError, TruncationError
+from .detector import _branch_weight_log
+from .errors import DomainError, TruncationError, _check_count, _check_unit
 from .fock import FockVector, inner_product
-from .hub import HubConfig, Outcome, _smsv_amps, heralded_amps
+from .hub import HubConfig, Outcome, _check_taps, _smsv_amps, heralded_amps
 from .logreal import LogReal, logreal_sum, logreal_sum_logs
 
 _LOSSY_LEVEL_EPS = 1e-16
 _LOSSY_LEVEL_CAP = 400
 
 
-def bs_matrix_element(
-    t: float, n_in0: int, n_in1: int, n_out0: int, n_out1: int
-) -> float:
+def bs_matrix_element(t: float, n_in0: int, n_in1: int, n_out0: int, n_out1: int) -> float:
     """<n_out0, n_out1|U|n_in0, n_in1> for the splitter map
     a0+ -> t a0+ - r a1+,  a1+ -> r a0+ + t a1+.
 
     Expands both transformed creation-operator powers binomially; photon
-    number is conserved, so mismatched totals give 0.
+    number is conserved, so mismatched totals give 0.  Raises DomainError
+    unless every photon number is an integer >= 0.
     """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"transmittance must lie in (0, 1], got {t}")
+    _check_unit(t, "transmittance")
     for n in (n_in0, n_in1, n_out0, n_out1):
-        if n < 0:
-            return 0.0
+        _check_count(n, "photon number")
     if n_in0 + n_in1 != n_out0 + n_out1:
         return 0.0
     if t == 1.0:
@@ -101,13 +98,8 @@ def simulate_hub(cfg: HubConfig, outcome: Outcome, cutoff: int = 40):
     comparable to heralded_state(..., cutoff) at matching resolution.
     Returns (FockVector, probability as LogReal).
     """
-    if outcome.k != cfg.k:
-        raise DomainError(
-            f"outcome has {outcome.k} counts but the hub has {cfg.k} splitters"
-        )
-    if cutoff < 0:
-        raise DomainError(f"cutoff must be >= 0, got {cutoff}")
-    span = 2 * cutoff + outcome.total + 1
+    _check_taps(cfg, outcome)
+    span = 2 * _check_count(cutoff, "cutoff") + outcome.total + 1
     signal = _smsv_true_basis(cfg.squeezing, span)
     log_prob = 0.0
     for t_i, n_i in zip(cfg.transmittances, outcome.counts):
@@ -146,7 +138,7 @@ def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 
     no mass; raises TruncationError when _LOSSY_LEVEL_CAP levels pass
     without a stop.
     """
-    _check_eta(eta)
+    _check_unit(eta, "detector efficiency")
     reported_counts = np.array(reported.counts)
     branches = []
     log_masses = []
@@ -184,15 +176,13 @@ def lossy_fidelity_mixture(branches, target: FockVector) -> float:
     to simulate_lossy's branches it is the brute-force reference for
     detector.lossy_fidelity_exact.
     """
-    num = 0.0
-    den = 0.0
-    for weight, state in branches:
-        den += weight
-        ov = inner_product(state, target)
-        num += weight * ov * ov
-    if den <= 0.0:
-        raise DomainError("branch ensemble carries no probability mass")
-    return num / den
+    weights = np.array([weight for weight, _ in branches], dtype=np.float64)
+    top = weights.max(initial=0.0)
+    if not (np.all(weights >= 0.0) and 0.0 < top < math.inf):
+        raise DomainError("branch weights must be finite and >= 0, with a positive total")
+    weights /= top  # so that neither sum below can overflow
+    overlaps = np.array([inner_product(state, target) for _, state in branches])
+    return float(weights @ np.square(overlaps) / weights.sum())
 
 
 def _compositions(total: int, parts: int):
@@ -233,9 +223,12 @@ def equivalence_grid(
 
     Sweeps every chain assignment and every outcome partition within the
     caps and tracks the worst fidelity deficit and probability error.
+    Raises DomainError when the grid holds no case.
     """
     from .probabilities import joint_success_prob
 
+    k_max = _check_count(k_max, "k_max")
+    total_max = _check_count(total_max, "total_max")
     worst_f = 0.0
     worst_f_case = ()
     worst_p = 0.0
@@ -272,4 +265,6 @@ def equivalence_grid(
                             rel = abs((prob / p_ref).to_float() - 1.0)
                         if rel > worst_p:
                             worst_p, worst_p_case = rel, (s, ts, counts)
+    if cases == 0:
+        raise DomainError("the equivalence grid holds no case")
     return EquivalenceReport(cases, worst_f, worst_f_case, worst_p, worst_p_case)

@@ -8,9 +8,9 @@ plain floats.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_unit
 from .fock import genfunc_derivative
-from .hub import HubConfig, Outcome, _check_count
+from .hub import HubConfig, Outcome, _check_taps
 from .logreal import LogReal
 
 
@@ -25,10 +25,7 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
     Product over splitters of the per-splitter tap weight, times the series
     normalization of the heralded state at the end-of-chain parameter.
     """
-    if outcome.k != cfg.k:
-        raise DomainError(
-            f"outcome has {outcome.k} counts but the hub has {cfg.k} splitters"
-        )
+    _check_taps(cfg, outcome)
     log_p = -math.log(math.cosh(cfg.squeezing))
     for t_l, y_l, n_l in zip(cfg.transmittances, cfg.y_chain, outcome.counts):
         if n_l == 0:
@@ -39,9 +36,7 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
     return LogReal(1, log_p) * genfunc_derivative(outcome.total, cfg.y_out)
 
 
-def conditional_prob(
-    cfg: HubConfig, index: int, count: int, prior: tuple = ()
-) -> float:
+def conditional_prob(cfg: HubConfig, index: int, count: int, prior: tuple = ()) -> float:
     """Probability that splitter `index` (1-based) taps `count` photons.
 
     `prior` holds the counts already seen at splitters 1..index-1.  For
@@ -49,13 +44,10 @@ def conditional_prob(
     normalization 1/cosh s, so chaining these conditionals over a full
     outcome reproduces joint_success_prob exactly.
     """
-    if not 1 <= index <= cfg.k:
+    if _check_count(index, "splitter index", 1) > cfg.k:
         raise DomainError(f"splitter index {index} outside 1..{cfg.k}")
     if len(prior) != index - 1:
-        raise DomainError(
-            f"prior must list {index - 1} counts for splitter {index}, "
-            f"got {len(prior)}"
-        )
+        raise DomainError(f"prior must list {index - 1} counts for splitter {index}, got {len(prior)}")
     count = _check_count(count, "photon counts")
     seen = sum(_check_count(n, "photon counts") for n in prior)
     t_i = cfg.transmittances[index - 1]
@@ -85,8 +77,7 @@ def demux_ratio(outcome: Outcome, t: float) -> LogReal:
     Always >= 1 for t <= 1: a multinomial factor times t^(-2w), where w
     weights each count by how many splitters it passed before its tap.
     """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"transmittance must lie in (0, 1], got {t}")
+    _check_unit(t, "transmittance")
     k = outcome.k
     w = sum((k - pos) * n for pos, n in enumerate(outcome.counts, start=1))
     log_r = (

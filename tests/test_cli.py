@@ -254,6 +254,11 @@ def test_detector_report_chain_rows_carry_exact_multiplier(tmp_path):
         ["oracle-check", "--tolerance", "nan"],
         ["oracle-check", "--tolerance", "-1"],
         ["detector-report", "--k", "0,1"],
+        ["detector-report", "--eta", "0"],
+        ["detector-report", "--eta", "nan"],
+        ["detector-report", "--N", "21"],
+        ["detector-report", "--N", "-2"],
+        ["prob-sweep", "--t", "0"],
         # a range with two parts, and a backwards one
         ["fidelity-sweep", "--N", "10", "--beta", "1:2"],
         ["fidelity-sweep", "--N", "10", "--beta", "2:1:0.5"],
@@ -268,6 +273,21 @@ def test_out_of_range_bounds_are_usage_errors(argv, tmp_path, capsys):
     assert main([str(tmp_path / arg) if arg.endswith("CFG") else arg for arg in argv]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity-sweep", "--N", "10", "--beta", "2"],
+        ["detector-report", "--k", "1", "--t", "0.9", "--N", "20", "--beta", "3"],
+        ["oracle-check", "--k", "1", "--N", "2"],
+    ],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"cathub: usage error: cannot write {out}: " in err and "Traceback" not in err
 
 
 def test_overflowing_first_order_load_is_domain_error(capsys):
