@@ -28,7 +28,7 @@ from .hub import (
     heralded_amps,
     heralded_state,
 )
-from .logreal import LogReal, logreal_sum, logreal_sum_logs
+from .logreal import LogReal, logreal_sum_logs
 from .oracle import (
     EquivalenceReport,
     bs_matrix_element,
@@ -69,7 +69,6 @@ __all__ = [
     "heralded_state",
     "inner_product",
     "joint_success_prob",
-    "logreal_sum",
     "logreal_sum_logs",
     "lossy_fidelity_exact",
     "lossy_fidelity_firstorder",

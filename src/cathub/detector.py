@@ -75,9 +75,9 @@ class PovmElement:
         return PovmElement, (self.reported_count, self.eta, self.weights)
 
     def weight(self, true_count: int) -> float:
-        if true_count < 0 or true_count >= len(self.weights):
-            return 0.0
-        return float(self.weights[true_count])
+        """weights[true_count], or 0.0 past the stored cutoff; DomainError unless an integer >= 0."""
+        true_count = _check_count(true_count, "true count")
+        return float(self.weights[true_count]) if true_count < len(self.weights) else 0.0
 
 
 def povm_element(m: int, eta: float, cutoff: int) -> PovmElement:
@@ -206,8 +206,8 @@ def reduction_factor(t_product_sq: float, mean_n: float) -> float:
     """
     _check_unit(t_product_sq, "squared transmittance product")
     rf = (1.0 - t_product_sq) / t_product_sq * mean_n
-    if not math.isfinite(rf):
-        raise DomainError(f"reduction factor at T = {t_product_sq} and <n> = {mean_n} is not finite")
+    if not (mean_n >= 0.0 and rf < math.inf):  # nan fails too
+        raise DomainError(f"reduction factor needs <n> >= 0 and a finite result, got T = {t_product_sq}, <n> = {mean_n}")
     return rf
 
 

@@ -17,7 +17,6 @@ no switch of method near the y = 1/2 singularity.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,5 +172,4 @@ def genfunc_derivative(order: int, y: float) -> LogReal:
     Positive for every admissible y > 0; odd orders vanish at y = 0.
     Raises DomainError outside 0 <= y < 0.5.
     """
-    log_mag = log_genfunc_derivative(order, y)
-    return LogReal(1, log_mag) if log_mag > -math.inf else LogReal.zero()
+    return LogReal(log_genfunc_derivative(order, y))

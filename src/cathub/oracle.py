@@ -18,7 +18,7 @@ from .detector import _branch_weight_log
 from .errors import DomainError, TruncationError, _check_count, _check_unit
 from .fock import FockVector, inner_product
 from .hub import HubConfig, Outcome, _check_taps, _smsv_amps, heralded_amps
-from .logreal import LogReal, logreal_sum, logreal_sum_logs
+from .logreal import LogReal, logreal_sum_logs
 
 _LOSSY_LEVEL_EPS = 1e-16
 _LOSSY_LEVEL_CAP = 400
@@ -29,44 +29,38 @@ def bs_matrix_element(t: float, n_in0: int, n_in1: int, n_out0: int, n_out1: int
     a0+ -> t a0+ - r a1+,  a1+ -> r a0+ + t a1+.
 
     Expands both transformed creation-operator powers binomially; photon
-    number is conserved, so mismatched totals give 0.  Raises DomainError
-    unless every photon number is an integer >= 0.
+    number is conserved, so mismatched totals give 0.  The powers t^p r^q
+    that every term of the alternating sum shares are one float factor.
+    The float t and r are dyadic rationals, so the rest of the sum is one
+    exact integer over a power of two, and the
+    sqrt(n_out0! n_out1! / (n_in0! n_in1!)) prefactor joins it through an
+    exact integer square root: only t^p r^q and the final scaling round.
+    Raises DomainError unless every photon number is an integer >= 0.
     """
     _check_unit(t, "transmittance")
-    for n in (n_in0, n_in1, n_out0, n_out1):
-        _check_count(n, "photon number")
+    n_in0, n_in1, n_out0, n_out1 = [_check_count(n, "photon number") for n in (n_in0, n_in1, n_out0, n_out1)]
     if n_in0 + n_in1 != n_out0 + n_out1:
         return 0.0
-    if t == 1.0:
-        return 1.0 if n_out0 == n_in0 else 0.0
     r = math.sqrt(1.0 - t * t)
-    log_t, log_r = math.log(t), math.log(r)
-    # i transmitted photons from mode 0; n_out0 - i crossed over from mode 1
-    lo = max(0, n_out0 - n_in1)
-    hi = min(n_in0, n_out0)
-    if lo > hi:
-        return 0.0
-    prefactor = 0.5 * (
-        math.lgamma(n_out0 + 1)
-        + math.lgamma(n_out1 + 1)
-        - math.lgamma(n_in0 + 1)
-        - math.lgamma(n_in1 + 1)
-    )
-    terms = []
+    a, den_t = t.as_integer_ratio()
+    b, den_r = r.as_integer_ratio()
+    den = max(den_t, den_r)  # both are powers of two
+    t2, r2 = (a * (den // den_t)) ** 2, (b * (den // den_r)) ** 2  # t^2 and r^2 times den^2
+    # in term i, i photons of mode 0 pass and n_out0 - i of mode 1 cross
+    # over; beyond the shared t^p r^q it carries t^(2 (i - lo)) r^(2 (hi - i))
+    lo, hi = max(0, n_out0 - n_in1), min(n_in0, n_out0)
+    total = 0
     for i in range(lo, hi + 1):
-        j = n_out0 - i
-        t_pow = i + (n_in1 - j)
-        r_pow = (n_in0 - i) + j
-        log_mag = (
-            prefactor
-            + math.lgamma(n_in0 + 1) - math.lgamma(i + 1) - math.lgamma(n_in0 - i + 1)
-            + math.lgamma(n_in1 + 1) - math.lgamma(j + 1) - math.lgamma(n_in1 - j + 1)
-            + t_pow * log_t
-            + r_pow * log_r
-        )
-        sign = -1 if (n_in0 - i) % 2 else 1
-        terms.append(LogReal(sign, log_mag))
-    return logreal_sum(terms).to_float()
+        term = math.comb(n_in0, i) * math.comb(n_in1, n_out0 - i) * t2 ** (i - lo) * r2 ** (hi - i)
+        total += -term if (n_in0 - i) % 2 else term
+    least = t ** (2 * lo + n_in1 - n_out0) * r ** (n_in0 + n_out0 - 2 * hi)
+    # root = |total| sqrt(n_out0! n_out1! / (n_in0! n_in1!)) 2^shift, a 64-bit integer
+    num = total * total * math.factorial(n_out0) * math.factorial(n_out1)
+    fact_in = math.factorial(n_in0) * math.factorial(n_in1)
+    shift = 64 - (num.bit_length() - fact_in.bit_length()) // 2
+    root = math.isqrt((num << max(2 * shift, 0)) // (fact_in << max(-2 * shift, 0)))
+    value = math.ldexp(root * least, -shift - 2 * (den.bit_length() - 1) * (hi - lo))
+    return -value if total < 0 else value
 
 
 def _smsv_true_basis(s: float, span: int) -> np.ndarray:
@@ -123,7 +117,7 @@ def simulate_hub(cfg: HubConfig, outcome: Outcome, cutoff: int = 40):
     norm = math.sqrt(float(np.dot(compressed, compressed)))
     compressed /= norm
     state = FockVector(parity, compressed)
-    return state, LogReal(1, log_prob)
+    return state, LogReal(log_prob)
 
 
 def simulate_lossy(cfg: HubConfig, reported: Outcome, eta: float, cutoff: int = 40):

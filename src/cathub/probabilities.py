@@ -33,7 +33,7 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
         if t_l == 1.0:
             return LogReal.zero()
         log_p += _log_tap_weight(t_l, y_l, n_l)
-    return LogReal(1, log_p) * genfunc_derivative(outcome.total, cfg.y_out)
+    return LogReal(log_p) * genfunc_derivative(outcome.total, cfg.y_out)
 
 
 def conditional_prob(cfg: HubConfig, index: int, count: int, prior: tuple = ()) -> float:
@@ -57,7 +57,7 @@ def conditional_prob(cfg: HubConfig, index: int, count: int, prior: tuple = ()) 
         return 1.0 if count == 0 else 0.0
     log_w = _log_tap_weight(t_i, y_i, count)
     ratio = genfunc_derivative(seen + count, y_i) / genfunc_derivative(seen, y_prev)
-    return (LogReal(1, log_w) * ratio).to_float()
+    return (LogReal(log_w) * ratio).to_float()
 
 
 def multinomial_factor(outcome: Outcome) -> int:
@@ -85,4 +85,4 @@ def demux_ratio(outcome: Outcome, t: float) -> LogReal:
         + math.lgamma(outcome.total + 1)
         - sum(math.lgamma(n + 1) for n in outcome.counts)
     )
-    return LogReal(1, log_r)
+    return LogReal(log_r)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cathub.cats import cat_state, fidelity, mean_photon, optimal_y
+from cathub.cats import mean_photon, optimal_y
 from cathub.detector import (
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,

@@ -5,7 +5,6 @@ import pytest
 
 from cathub.cats import _SCAN_POINTS, _Y_HI, _Y_LO, cat_state, fidelity, mean_photon, optimal_y
 from cathub.errors import DomainError
-from cathub.fock import FockVector
 from cathub.hub import heralded_amps, heralded_state
 
 # frozen optimizer outputs, used as regression anchors

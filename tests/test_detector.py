@@ -55,6 +55,10 @@ def test_povm_validation():
         povm_element(2, 0.0, cutoff=5)
     with pytest.raises(DomainError):
         povm_element(6, 0.9, cutoff=5)
+    # a true count is gated like every other count, not clamped or indexed
+    for true_count in (-1, 1.5):
+        with pytest.raises(DomainError):
+            povm_element(2, 0.9, cutoff=5).weight(true_count)
 
 
 def test_reduction_factor_reference_values():

@@ -55,7 +55,7 @@ _CASES = {
     "FockVector": (FockVector, (_parities, _amps)),
     "HubConfig": (HubConfig, (_squeezings, st.lists(_units, max_size=2))),
     "HubConfig.from_target_y": (HubConfig.from_target_y, (_ys, st.lists(_units, max_size=2))),
-    "LogReal": (LogReal, (_or_bad(st.sampled_from([-1, 0, 1])), _reals)),
+    "LogReal": (LogReal, (_reals,)),
     "LogReal.from_float": (LogReal.from_float, (_reals,)),
     "Outcome": (Outcome, (st.lists(_counts, max_size=2),)),
     "bs_matrix_element": (cathub.bs_matrix_element, (_units, _counts, _counts, _counts, _counts)),
@@ -82,10 +82,6 @@ _CASES = {
     "heralded_state": (cathub.heralded_state, (_parities, _counts, _ys, st.one_of(st.none(), _cutoffs))),
     "inner_product": (lambda p, a, b: cathub.inner_product(FockVector(p, a), FockVector(p, b)), (_parities, _amps, _amps)),
     "joint_success_prob": (lambda s, t, n: cathub.joint_success_prob(_hub(s, t), Outcome((n,))), (_squeezings, _units, _counts)),
-    "logreal_sum": (
-        lambda pairs: cathub.logreal_sum([LogReal(sign, mag) for sign, mag in pairs]),
-        (st.lists(st.tuples(st.sampled_from([-1, 0, 1]), _reals), max_size=3),),
-    ),
     "logreal_sum_logs": (cathub.logreal_sum_logs, (st.lists(_reals, max_size=3),)),
     "lossy_fidelity_exact": (
         lambda s, t, m, eta, beta: cathub.lossy_fidelity_exact(_hub(s, t), m, eta, beta),
@@ -188,10 +184,14 @@ _BAD_CALLS = {
     "negative parity": lambda: cathub.parity_of(-1),
     "float splitter index": lambda: cathub.conditional_prob(_ONE_TAP, 1.0, 0),
     "nan chain transmittance": lambda: cathub.chain_transmission((math.nan,)),
-    "LogReal sign 2": lambda: LogReal(2, 0.0),
+    "negative LogReal": lambda: LogReal.from_float(-1.0),
     "LogReal of nan": lambda: LogReal.from_float(math.nan),
-    "LogReal with nan log": lambda: LogReal(1, math.nan),
+    "LogReal with nan log": lambda: LogReal(math.nan),
+    "LogReal with +inf log": lambda: LogReal(math.inf),
+    "LogReal division by zero": lambda: LogReal(0.0) / LogReal.zero(),
     "negative factorial": lambda: cathub.logreal.log_factorials(-1),
+    "fractional factorial": lambda: cathub.logreal.log_factorials(1.5),
+    "negative mean photon number": lambda: cathub.reduction_factor(0.81, -1.0),
     "log-sum of +inf": lambda: cathub.logreal_sum_logs([math.inf]),
     "nan amplitude": lambda: FockVector("even", [math.nan]),
     "amplitude norm overflows": lambda: FockVector("even", [1e308]),

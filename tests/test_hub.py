@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cathub import logreal
 from cathub.errors import DomainError
-from cathub.fock import _TAIL_RATIO, FockVector, genfunc_derivative, inner_product
+from cathub.fock import _TAIL_RATIO, FockVector, inner_product
 from cathub.hub import (
     HubConfig,
     Outcome,

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -35,3 +37,26 @@ def test_every_export_resolves():
     missing = [(m.__name__, name) for m in modules for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
     assert len(set(cathub.__all__)) == len(cathub.__all__)
+
+
+def _unused_imports(path: str) -> list:
+    """Names that a module imports and never reads; names in its __all__ count as read."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{os.path.basename(path)}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    here = os.path.dirname(os.path.abspath(__file__))
+    package = os.path.dirname(os.path.abspath(cathub.__file__))
+    paths = sorted(glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(here, "*.py")))
+    assert [name for path in paths for name in _unused_imports(path)] == []

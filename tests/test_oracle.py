@@ -1,7 +1,9 @@
 import functools
 import math
+import random
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,7 +51,9 @@ def test_hong_ou_mandel_dip():
 
 @pytest.mark.parametrize("t", [0.7, 0.9, 1.0])
 def test_unitarity_per_total_photon_block(t):
-    for total in range(0, 13):
+    # at totals 40 and 60 a float sum of the alternating terms loses the
+    # bound; the exact integer sum keeps it
+    for total in [*range(0, 13), 40, 60]:
         u = np.array(
             [
                 [
@@ -60,6 +64,56 @@ def test_unitarity_per_total_photon_block(t):
             ]
         )
         assert np.max(np.abs(u.T @ u - np.eye(total + 1))) < 1e-12
+
+
+def _mp_element(t, n_in0, n_in1, n_out0, n_out1):
+    # the defining binomial sum at 60 digits, on the same float t and r
+    with mpmath.workdps(60):
+        t_mp, r_mp = mpmath.mpf(t), mpmath.mpf(math.sqrt(1.0 - t * t))
+        total = mpmath.mpf(0)
+        for i in range(max(0, n_out0 - n_in1), min(n_in0, n_out0) + 1):
+            j = n_out0 - i
+            term = (
+                mpmath.binomial(n_in0, i)
+                * mpmath.binomial(n_in1, j)
+                * t_mp ** (i + n_in1 - j)
+                * r_mp ** (n_in0 - i + j)
+            )
+            total += -term if (n_in0 - i) % 2 else term
+        prefactor = mpmath.sqrt(
+            mpmath.factorial(n_out0) * mpmath.factorial(n_out1) / (mpmath.factorial(n_in0) * mpmath.factorial(n_in1))
+        )
+        return float(prefactor * total)
+
+
+def test_element_matches_mpmath_sum():
+    # absolute on general elements, whose sum cancels; relative on the
+    # single-term (q, 0) -> (p, n) elements that the oracle projects with
+    rng = random.Random(1309)
+    for _ in range(200):
+        t = rng.uniform(0.05, 0.99)
+        n_in0, n_in1 = rng.randint(0, 80), rng.randint(0, 80)
+        n_out0 = rng.randint(0, n_in0 + n_in1)
+        args = (t, n_in0, n_in1, n_out0, n_in0 + n_in1 - n_out0)
+        assert bs_matrix_element(*args) == pytest.approx(_mp_element(*args), abs=1e-15), args
+    for _ in range(200):
+        t = rng.uniform(0.05, 0.99)
+        q = rng.randint(0, 120)
+        n = rng.randint(0, q)
+        args = (t, q, 0, q - n, n)
+        assert bs_matrix_element(*args) == pytest.approx(_mp_element(*args), rel=1e-14, abs=0), args
+
+
+@pytest.mark.parametrize("t", [0.3, 0.6, math.sqrt(0.5), 0.9])
+def test_diagonal_element_is_legendre(t):
+    # <n, n|U|n, n> = P_n(cos 2 theta) with t = cos theta
+    with mpmath.workdps(50):
+        x = 2 * mpmath.mpf(t) ** 2 - 1
+        want = [float(mpmath.legendre(n, x)) for n in range(101)]
+    got = [bs_matrix_element(t, n, n, n, n) for n in range(101)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    if t == 0.6:
+        assert got[60] == pytest.approx(-0.011348753944484, abs=1e-13)
 
 
 def test_transmittance_validation():
