@@ -9,13 +9,11 @@ loss effects, and a brute-force cross-check of all of it.
 
 from .cats import OptResult, cat_state, fidelity, mean_photon, optimal_y
 from .detector import (
-    PovmElement,
     TradeoffProduct,
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
     lossy_prob,
     lossy_prob_firstorder,
-    povm_element,
     reduction_factor,
     tradeoff_product,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "LogReal",
     "OptResult",
     "Outcome",
-    "PovmElement",
     "TradeoffProduct",
     "TruncationError",
     "bs_matrix_element",
@@ -79,7 +76,6 @@ __all__ = [
     "multinomial_factor",
     "optimal_y",
     "parity_of",
-    "povm_element",
     "reduction_factor",
     "simulate_hub",
     "simulate_lossy",

@@ -256,9 +256,13 @@ def cmd_oracle_check(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--out", default="-", help="output path ('-' = stdout)")
     sub.add_argument("--config", default=None, help="key=value defaults file; flags override")
-    sub.add_argument("--workers", type=_bounded(int, 1), default=1, help="parallel workers")
     sub.add_argument(
-        "--precision", type=_bounded(int, 1, 17), default=12, help="significant digits in output"
+        "--workers", type=_bounded(int, 1), default=1,
+        help="parallel workers for the fidelity, meanphoton and prob sweeps; ignored elsewhere",
+    )
+    sub.add_argument(
+        "--precision", type=_bounded(int, 1, 17), default=12,
+        help="significant digits in CSV output; oracle-check ignores it",
     )
 
 

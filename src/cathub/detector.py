@@ -1,8 +1,8 @@
 """Imperfect photon-number detection.
 
-Binomial-loss POVM elements, the exact lossy fidelity and heralding
-probability for a chain of any length, their first-order expansions in
-detector inefficiency, and the fidelity-probability trade-off product.
+The binomial loss law, the exact lossy fidelity and heralding probability
+for a chain of any length, their first-order expansions in detector
+inefficiency, and the fidelity-probability trade-off product.
 
 A chain of k splitters with lossy detectors on every tap is exactly its
 one-tap equivalent with t = prod t_i: summed over the splits of N photons
@@ -23,11 +23,12 @@ the counts an ideal detector reports behind one tap with
 and lossy_prob is one ideal joint_success_prob on that hub.  The state is
 another matter: the missed photons leave a mixture.  A detector that
 reports count n may have been hit by any true count j >= n, with weight
-C(j, n) eta^n (1-eta)^(j-n); lossy_fidelity_exact walks these loss branches
-(_loss_branches) and sums their log masses as one float array.  Branches
-whose true count has the opposite parity overlap the target cat with
-weight zero but still carry probability, which is exactly what produces
-the first-order fidelity penalty.
+C(j, n) eta^n (1-eta)^(j-n), the loss law that _branch_weight_log states
+for this module and oracle.simulate_lossy alike.  lossy_fidelity_exact
+walks these loss branches (_loss_branches) and sums their log masses as
+one float array.  Branches whose true count has the opposite parity
+overlap the target cat with weight zero but still carry probability,
+which is exactly what produces the first-order fidelity penalty.
 
 At first order in 1-eta everything hangs on one number, the reduction
 factor rf = (1-T)/T <n> of a chain with squared transmittance product T:
@@ -51,45 +52,6 @@ from .probabilities import joint_success_prob
 _BRANCH_EPS = 1e-16
 _BRANCH_RUN = 3
 _BRANCH_CAP = 2000
-
-
-@dataclass(frozen=True, slots=True)
-class PovmElement:
-    """Diagonal POVM element of a lossy photon-number detector.
-
-    weights[j] is the probability of reporting `reported_count` when the
-    true photon number is j; zero for j < reported_count.
-    """
-
-    reported_count: int
-    eta: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    def __reduce__(self):
-        # through the constructor, so that a copy keeps read-only weights
-        return PovmElement, (self.reported_count, self.eta, self.weights)
-
-    def weight(self, true_count: int) -> float:
-        """weights[true_count], or 0.0 past the stored cutoff; DomainError unless an integer >= 0."""
-        true_count = _check_count(true_count, "true count")
-        return float(self.weights[true_count]) if true_count < len(self.weights) else 0.0
-
-
-def povm_element(m: int, eta: float, cutoff: int) -> PovmElement:
-    """Reported-count-m POVM element on true counts 0..cutoff."""
-    m = _check_count(m, "reported count")
-    cutoff = _check_count(cutoff, "cutoff")
-    if cutoff < m:
-        raise DomainError(f"cutoff {cutoff} smaller than reported count {m}")
-    _check_unit(eta, "detector efficiency")
-    w = np.zeros(cutoff + 1)
-    w[m:] = np.exp(_branch_weight_log(m, np.arange(m, cutoff + 1), eta))
-    return PovmElement(m, eta, w)
 
 
 def _branch_weight_log(reported, true_count, eta: float) -> np.ndarray:
@@ -258,7 +220,8 @@ def lossy_prob_firstorder(cfg: HubConfig, m: int, parity: str, eta: float) -> Lo
     mean_n = mean_photon(parity, reported, cfg.y_out)
     rf = reduction_factor(chain_transmission(cfg.transmittances), mean_n)
     gain = _first_order(eta, rf).gain
-    return ideal * LogReal.from_float(eta**reported) * LogReal.from_float(gain)
+    # eta^N as its log: 0.01^600 underflows as a float
+    return ideal * LogReal(reported * math.log(eta)) * LogReal.from_float(gain)
 
 
 @dataclass(frozen=True, slots=True)

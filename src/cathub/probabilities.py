@@ -2,8 +2,8 @@
 
 Joint and conditional outcome probabilities, plus the closed-form gain of
 splitting one large count across several detectors.  Everything that can
-underflow is carried as LogReal; conditionals are O(1) and returned as
-plain floats.
+underflow is carried as LogReal; a conditional, the ratio of two joints
+on prefixes of the chain, is at most 1 and returned as a plain float.
 """
 
 import math
@@ -39,25 +39,25 @@ def joint_success_prob(cfg: HubConfig, outcome: Outcome) -> LogReal:
 def conditional_prob(cfg: HubConfig, index: int, count: int, prior: tuple = ()) -> float:
     """Probability that splitter `index` (1-based) taps `count` photons.
 
-    `prior` holds the counts already seen at splitters 1..index-1.  For
-    index = 1 the ratio of series normalizations degenerates to the source
-    normalization 1/cosh s, so chaining these conditionals over a full
-    outcome reproduces joint_success_prob exactly.
+    `prior` holds the counts already seen at splitters 1..index-1.  This is
+    the joint probability of prior + (count,) on the chain's first `index`
+    splitters over that of prior on the first index - 1; for index = 1 the
+    first joint alone is the answer.  Raises DomainError when the prior
+    itself has probability zero.
     """
     if _check_count(index, "splitter index", 1) > cfg.k:
         raise DomainError(f"splitter index {index} outside 1..{cfg.k}")
     if len(prior) != index - 1:
         raise DomainError(f"prior must list {index - 1} counts for splitter {index}, got {len(prior)}")
-    count = _check_count(count, "photon counts")
-    seen = sum(_check_count(n, "photon counts") for n in prior)
-    t_i = cfg.transmittances[index - 1]
-    y_i = cfg.y_chain[index - 1]
-    y_prev = cfg.y0 if index == 1 else cfg.y_chain[index - 2]
-    if t_i == 1.0:
-        return 1.0 if count == 0 else 0.0
-    log_w = _log_tap_weight(t_i, y_i, count)
-    ratio = genfunc_derivative(seen + count, y_i) / genfunc_derivative(seen, y_prev)
-    return (LogReal(log_w) * ratio).to_float()
+    ts = cfg.transmittances
+    # Outcome gates each count
+    p = joint_success_prob(HubConfig(cfg.squeezing, ts[:index]), Outcome((*prior, count)))
+    if index > 1:
+        p_prior = joint_success_prob(HubConfig(cfg.squeezing, ts[: index - 1]), Outcome(tuple(prior)))
+        if p_prior.is_zero():
+            raise DomainError(f"prior counts {tuple(prior)} have probability zero at this hub")
+        p = p / p_prior
+    return p.to_float()
 
 
 def multinomial_factor(outcome: Outcome) -> int:

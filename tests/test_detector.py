@@ -1,41 +1,46 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cathub import detector
-from cathub.cats import optimal_y
+from cathub.cats import mean_photon, optimal_y
 from cathub.detector import (
     lossy_fidelity_exact,
     lossy_fidelity_firstorder,
     lossy_prob,
     lossy_prob_firstorder,
-    povm_element,
     reduction_factor,
     tradeoff_product,
 )
 from cathub.errors import DomainError, TruncationError
 from cathub.hub import HubConfig, Outcome
 from cathub.logreal import logreal_sum_logs
+from cathub.oracle import simulate_lossy
 from cathub.probabilities import joint_success_prob
 
 
+def _povm_weights(m: int, eta: float, cutoff: int) -> np.ndarray:
+    """P(report m | true count j) for j = 0..cutoff, from the one statement of the loss law."""
+    w = np.zeros(cutoff + 1)
+    w[m:] = np.exp(detector._branch_weight_log(m, np.arange(m, cutoff + 1), eta))
+    return w
+
+
 def test_povm_weight_example():
-    el = povm_element(2, 0.98, cutoff=10)
-    assert el.weight(4) == pytest.approx(6.0 * 0.98**2 * 0.02**2, rel=1e-12)
-    assert el.weight(4) == pytest.approx(0.00230496, rel=1e-9)
-    assert el.weight(1) == 0.0
-    assert el.weight(2) == pytest.approx(0.98**2, rel=1e-12)
-    assert el.weight(11) == 0.0  # past the cutoff
+    w = _povm_weights(2, 0.98, cutoff=10)
+    assert w[4] == pytest.approx(6.0 * 0.98**2 * 0.02**2, rel=1e-12)
+    assert w[4] == pytest.approx(0.00230496, rel=1e-9)
+    assert w[1] == 0.0
+    assert w[2] == pytest.approx(0.98**2, rel=1e-12)
 
 
 def test_povm_lossless_is_projector():
-    el = povm_element(3, 1.0, cutoff=8)
-    for j in range(9):
-        assert el.weight(j) == (1.0 if j == 3 else 0.0)
+    assert list(_povm_weights(3, 1.0, cutoff=8)) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -44,21 +49,23 @@ def test_povm_lossless_is_projector():
     eta=st.floats(min_value=0.05, max_value=1.0),
 )
 def test_povm_completeness(j, eta):
-    total = sum(povm_element(m, eta, cutoff=41).weight(j) for m in range(j + 1))
+    # a true count j is reported as some m in 0..j
+    total = float(np.exp(detector._branch_weight_log(np.arange(j + 1), j, eta)).sum())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_povm_validation():
-    with pytest.raises(DomainError):
-        povm_element(-1, 0.9, cutoff=5)
-    with pytest.raises(DomainError):
-        povm_element(2, 0.0, cutoff=5)
-    with pytest.raises(DomainError):
-        povm_element(6, 0.9, cutoff=5)
-    # a true count is gated like every other count, not clamped or indexed
-    for true_count in (-1, 1.5):
-        with pytest.raises(DomainError):
-            povm_element(2, 0.9, cutoff=5).weight(true_count)
+    # every entry point of the loss law gates the reported count and the efficiency
+    cfg = HubConfig(0.8, (0.9,))
+    entries = (
+        lambda m, eta: lossy_prob(cfg, m, "even", eta),
+        lambda m, eta: lossy_fidelity_exact(cfg, m, eta, 1.0),
+        lambda m, eta: simulate_lossy(cfg, Outcome((m,)), eta, 10),
+    )
+    for call in entries:
+        for m, eta in ((-1, 0.9), (1.5, 0.9), (2, 0.0), (2, 1.1)):
+            with pytest.raises(DomainError):
+                call(m, eta)
 
 
 def test_reduction_factor_reference_values():
@@ -122,6 +129,16 @@ def test_prob_firstorder_tracks_exact():
         assert first == pytest.approx(exact, rel=5e-4)
 
 
+def test_prob_firstorder_carries_eta_power_as_a_log():
+    # 0.01^600 underflows as a float, not as a log
+    cfg = HubConfig(0.5, (0.9,))
+    got = lossy_prob_firstorder(cfg, 300, "even", 0.01)
+    ideal = joint_success_prob(cfg, Outcome((600,)))
+    gain = 1.0 + 0.99 * reduction_factor(0.81, mean_photon("even", 600, cfg.y_out))
+    assert not got.is_zero()
+    assert got.log_mag == pytest.approx(ideal.log_mag + 600 * math.log(0.01) + math.log(gain), rel=1e-12)
+
+
 def test_gap_shrinks_quadratically():
     res = optimal_y("even", 20, 3.0)
     cfg = HubConfig.from_target_y(res.y_star, (0.95,))
@@ -183,6 +200,92 @@ def test_lossy_fidelity_exact_needs_reachable_count():
     with pytest.raises(DomainError):
         lossy_fidelity_exact(cfg, 4, 0.9, 2.0)
     assert lossy_prob(cfg, 2, "even", 0.9).is_zero()
+
+
+def _mp_lossy_fidelity(s: float, t: float, n: int, eta: float, beta: float, tol: int = 16) -> float:
+    """Lossy fidelity on one tap from the source's Fock amplitudes, in mpmath.
+
+    The source has |c_q|^2 = C(q, q/2) y0^q / cosh s on even q, with the
+    positive amplitudes of hub.py's convention.  Tapping true count j leaves
+    phi_j = sum_q c_q sqrt(C(q, j)) t^(q-j) r^j |q - j>, unnormalised, and a
+    detector of efficiency eta reports n from it with B_j = C(j, n) eta^n
+    (1-eta)^(j-n).  So F = sum_j B_j <cat|phi_j>^2 / sum_j B_j |phi_j|^2,
+    with the cat built from its definition, (|beta> +- |-beta>) normalised.
+
+    Both windows stop on an explicit tail bound, at 10^-tol of the sum so far:
+    - in q for one j, the q + 2 term over the q term is
+      4 (q+1)/(q+2) y0^2 (q+2)(q+1)/((q+2-j)(q+1-j)) t^4, below
+      rho = 4 y0^2 t^4 (q+2)(q+1)/((q+2-j)(q+1-j)), which only falls as q
+      grows, so the rest is at most term * rho / (1 - rho); by
+      Cauchy-Schwarz it bounds the overlap's tail as well;
+    - in j, every later branch takes its photons from some q > j, and
+      summed over j <= q the branches of q carry
+      |c_q|^2 C(q, n) (eta r^2)^n (1 - eta r^2)^(q-n), a series in q with
+      the same kind of ratio bound.
+    """
+    with mpmath.workdps(tol + 10):
+        eps = mpmath.mpf(10) ** -tol
+        y0 = mpmath.tanh(mpmath.mpf(s)) / 2
+        cosh_s = mpmath.cosh(mpmath.mpf(s))
+        t_sq = mpmath.mpf(t) ** 2  # exact: the binary float itself
+        r_sq = 1 - t_sq
+        eta = mpmath.mpf(eta)
+        b_sq = mpmath.mpf(beta) ** 2
+        sign = 1 if n % 2 == 0 else -1
+        cat0 = 2 * mpmath.exp(-b_sq / 2) / mpmath.sqrt(2 * (1 + sign * mpmath.exp(-2 * b_sq)))
+
+        def source_sq(q):
+            return math.comb(q, q // 2) * y0**q / cosh_s
+
+        def rho(q, j, keep_sq):
+            return 4 * y0**2 * keep_sq**2 * mpmath.mpf((q + 2) * (q + 1)) / ((q + 2 - j) * (q + 1 - j))
+
+        num = den = mpmath.mpf(0)
+        j = n
+        while True:
+            q = j + j % 2
+            a_sq = source_sq(q) * math.comb(q, j) * t_sq ** (q - j) * r_sq**j
+            norm_sq = a_sq
+            # only true counts of the cat's parity overlap it; x = cat_m a_m
+            same = j % 2 == n % 2
+            x = cat0 * mpmath.sqrt(b_sq ** (q - j) / math.factorial(q - j) * a_sq) if same else 0
+            overlap = x
+            while not ((bound := rho(q, j, t_sq)) < 1 and a_sq * bound / (1 - bound) < norm_sq * eps):
+                step = mpmath.mpf((q + 2) * (q + 1)) ** 2 / ((q // 2 + 1) ** 2 * (q + 2 - j) * (q + 1 - j)) * y0**2 * t_sq**2
+                a_sq *= step
+                norm_sq += a_sq
+                if same:
+                    m = q - j
+                    x *= mpmath.sqrt(step * b_sq**2 / ((m + 1) * (m + 2)))
+                    overlap += x
+                q += 2
+            weight = math.comb(j, n) * eta**n * (1 - eta) ** (j - n)
+            num += weight * overlap**2
+            den += weight * norm_sq
+            q = j + 1 + (j + 1) % 2
+            keep = 1 - eta * r_sq
+            tail = source_sq(q) * math.comb(q, n) * (eta * r_sq) ** n * keep ** (q - n)
+            bound = rho(q, n, keep)
+            if bound < 1 and tail / (1 - bound) < den * eps:
+                return float(num / den)
+            j += 1
+
+
+@pytest.mark.parametrize(
+    "s, t, n, eta, beta",
+    [
+        # squeezings put the tap's y near the lossless optimum of (n, beta)
+        (0.68, 0.9, 2, 0.9, 1.5),
+        (0.60, 0.8, 7, 0.6, 2.0),
+        (0.53, 0.85, 11, 0.99, 2.5),
+        (0.52, 0.8, 20, 0.99, 3.0),
+        (0.96, 0.6, 33, 0.6, 3.5),
+        (0.66, 0.7, 40, 0.6, 4.0),
+    ],
+)
+def test_lossy_fidelity_matches_mpmath_branch_mixture(s, t, n, eta, beta):
+    got = lossy_fidelity_exact(HubConfig(s, (t,)), n, eta, beta)
+    assert got == pytest.approx(_mp_lossy_fidelity(s, t, n, eta, beta), rel=1e-10)
 
 
 def _counting_joint(monkeypatch) -> list:
@@ -274,7 +377,7 @@ def test_fractional_counts_are_domain_errors():
     with pytest.raises(DomainError, match="must be an integer"):
         lossy_fidelity_exact(cfg, 2.5, 0.9, 1.0)
     with pytest.raises(DomainError, match="must be an integer"):
-        povm_element(1.5, 0.9, cutoff=5)
+        lossy_prob_firstorder(cfg, 1.5, "even", 0.9)
     # numpy integers pass
     assert lossy_prob(cfg, np.int64(1), "even", 0.9) == lossy_prob(cfg, 1, "even", 0.9)
 

@@ -101,7 +101,6 @@ _CASES = {
     "multinomial_factor": (lambda counts: cathub.multinomial_factor(Outcome(counts)), (st.lists(_counts, min_size=1, max_size=2),)),
     "optimal_y": (cathub.optimal_y, (_parities, _counts, _betas)),
     "parity_of": (cathub.parity_of, (_counts,)),
-    "povm_element": (cathub.povm_element, (_counts, _units, _cutoffs)),
     "reduction_factor": (cathub.reduction_factor, (_units, _reals)),
     "simulate_hub": (lambda s, t, n, cutoff: cathub.simulate_hub(_hub(s, t), Outcome((n,)), cutoff), (_squeezings, _units, _counts, _cutoffs)),
     "simulate_lossy": (
@@ -119,7 +118,6 @@ _CASES = {
 _RECORDS = {
     "EquivalenceReport": "equivalence_grid",
     "OptResult": "optimal_y",
-    "PovmElement": "povm_element",
     "TradeoffProduct": "tradeoff_product",
 }
 
@@ -169,7 +167,6 @@ def test_call_returns_or_raises_a_domain_error(name):
 _ONE_TAP = HubConfig(1.0, (0.9,))
 _BAD_CALLS = {
     "fractional derivative order": lambda: cathub.genfunc_derivative(1.5, 0.3),
-    "fractional povm cutoff": lambda: cathub.povm_element(2, 0.9, 2.5),
     "fractional oracle cutoff": lambda: cathub.simulate_hub(_ONE_TAP, Outcome((1,)), 2.5),
     "fractional herald cutoff": lambda: cathub.heralded_state("even", 2, 0.3, 2.5),
     "infinite herald pair count": lambda: cathub.heralded_state("even", math.inf, 0.25),

@@ -15,7 +15,6 @@ from cathub import (
     LogReal,
     OptResult,
     Outcome,
-    povm_element,
     tradeoff_product,
 )
 
@@ -24,7 +23,6 @@ _CFG = HubConfig.from_target_y(0.3, (0.9,))
 VALUES = {
     "LogReal": LogReal(2.5),
     "TradeoffProduct": tradeoff_product(_CFG, Outcome((4,)), 0.98, 1.5),
-    "PovmElement": povm_element(2, 0.9, 6),
     "FockVector": FockVector("odd", [0.6, 0.8]),
     "HubConfig": HubConfig(0.8, (0.9, 0.95)),
     "Outcome": Outcome((2, 3)),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,63 @@ def test_conditional_validates_arguments():
     for count, prior in ((1.5, ()), (1, (0.5,))):
         with pytest.raises(DomainError, match="must be an integer"):
             conditional_prob(cfg, len(prior) + 1, count, prior)
+    # no photon reflects off a transparent tap, so the prior (3,) cannot happen
+    with pytest.raises(DomainError, match="probability zero"):
+        conditional_prob(HubConfig(0.8, (1.0, 0.9)), 2, 1, (3,))
+
+
+def _mp_log_joint(s: float, taps, counts, dps: int = 50) -> float:
+    """ln P(counts) from the chain law's defining sum, at dps digits.
+
+    Each of the source's 2q photons leaves at tap i with probability
+    p_i = (1 - t_i^2) prod_(j<i) t_j^2 or stays with T = prod t_j^2, and the
+    source emits 2q photons with probability C(2q, q) (tanh s / 2)^(2q) / cosh s,
+    so P = sum_q P(2q) multinomial(2q; counts, r) prod p_i^(n_i) T^r with
+    r = 2q - N.  The ratio of the q + 1 term to the q term is
+    2(2q+1)/(q+1) y0^2 (2q+2)(2q+1)/((r+2)(r+1)) T^2, below
+    rho = 4 y0^2 T^2 (2q+2)(2q+1)/((r+2)(r+1)), which only falls as q grows;
+    so once rho < 1 the rest of the sum is at most term * rho / (1 - rho).
+    """
+    with mpmath.workdps(dps):
+        y0 = mpmath.tanh(mpmath.mpf(s)) / 2
+        stay = mpmath.mpf(1)
+        record = mpmath.mpf(1)
+        for t, n in zip(taps, counts):
+            t_sq = mpmath.mpf(t) ** 2  # exact: the binary float itself
+            record *= ((1 - t_sq) * stay) ** n
+            stay *= t_sq
+        big_n = sum(counts)
+        ways = math.prod(math.factorial(n) for n in counts)
+        total = mpmath.mpf(0)
+        q = (big_n + 1) // 2
+        while True:
+            r = 2 * q - big_n
+            multinomial = math.factorial(2 * q) // (ways * math.factorial(r))
+            term = math.comb(2 * q, q) * y0 ** (2 * q) * multinomial * record * stay**r
+            total += term
+            rho = 4 * y0**2 * stay**2 * mpmath.mpf((2 * q + 2) * (2 * q + 1)) / ((r + 2) * (r + 1))
+            if rho < 1 and term * rho / (1 - rho) < total * mpmath.mpf(10) ** (-dps):
+                break
+            q += 1
+        return float(mpmath.log(total) - mpmath.log(mpmath.cosh(mpmath.mpf(s))))
+
+
+@pytest.mark.parametrize(
+    "s, taps, counts",
+    [
+        (0.8, (0.9,), (0,)),
+        (0.8, (0.9,), (7,)),
+        (1.4, (0.95,), (60,)),
+        (1.1, (0.8, 0.95), (3, 5)),
+        (1.6, (0.93, 0.97), (30, 30)),
+        (0.9, (0.9, 0.7, 0.95), (0, 0, 0)),
+        (1.2, (0.9, 0.7, 0.95), (2, 1, 4)),
+        (1.7, (0.97, 0.92, 0.99), (20, 25, 15)),
+    ],
+)
+def test_joint_matches_mpmath_chain_law(s, taps, counts):
+    got = joint_success_prob(HubConfig(s, taps), Outcome(counts)).log_mag
+    assert abs(got - _mp_log_joint(s, taps, counts)) <= 1e-11
 
 
 def test_conditional_transparent_first_tap():
